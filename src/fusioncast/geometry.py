@@ -28,7 +28,8 @@ UNIT_NORM_TOL = 1e-6
 
 
 def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]. Note the closed upper end: +pi stays +pi."""
+    """Wrap an angle to (-pi, pi]. Note the closed upper end: +pi stays +pi.
+    Applied to a numpy array, wraps each element the same way."""
     return -((-theta + math.pi) % TWO_PI - math.pi)
 
 

@@ -1,9 +1,12 @@
 """Trajectory predictors over observation windows.
 
-Two predictor families share one interface (predict / sample):
+Both predictor families implement one batched core, ``forecast(pos, theta,
+gaze)``: observed positions (..., T, 2), headings (..., T) and gaze xy
+(..., T, 2) with any leading axes map to world-frame future positions
+(..., horizon, 2). ``predict`` and ``sample`` serve one window on top of it.
 
-- ConstantVelocityPredictor: extrapolates the mean velocity and yaw rate of
-  the last few observed frames. Sanity floor for the displacement metrics.
+- ConstantVelocityPredictor: extrapolates the mean velocity of the last few
+  observed frames. Sanity floor for the displacement metrics.
 - RidgeModel: closed-form ridge regression from per-frame motion features
   (and, in the full configuration, head/gaze cue channels) to the 40 future
   planar displacements, everything expressed in the body frame at the end of
@@ -27,10 +30,9 @@ from where the body is going — the anticipation cue.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .windows import HORIZON_FRAMES, FeatureConfig, TrajectoryWindow
 FRAME_DT = 0.1  # s, fixed by the 10 Hz grid
 
 MODEL_MAGIC = b"FCM1"
+MAX_HEADER_BYTES = 1 << 20  # a real header is a few KiB; larger is refused unread
 
 # Frames of observed history used by the constant-velocity extrapolation.
 CV_TAIL = 5
@@ -48,153 +51,141 @@ CV_TAIL = 5
 _STD_FLOOR = 1e-12  # below this a feature dimension is degenerate and dropped
 
 
-def _window_arrays(window: TrajectoryWindow):
-    obs = window.observed
-    pos = np.array([[f.state.x, f.state.y] for f in obs])
-    theta = np.array([f.state.theta for f in obs])
-    return pos, theta
-
-
-def _gaze_yaws(window: TrajectoryWindow, theta: np.ndarray) -> np.ndarray:
-    yaws = np.empty(len(window.observed))
-    for i, frame in enumerate(window.observed):
-        g = frame.gaze_world
-        if g is None:
+def window_arrays(windows, config: FeatureConfig, future: bool = False):
+    """Stack windows built for ``config`` into arrays, once: observed positions
+    (N, T, 2), headings (N, T), gaze xy (N, T, 2) if ``config`` uses gaze and
+    future positions (N, H, 2) if ``future`` is set (else None)."""
+    for w in windows:
+        if w.feature_config is not config:
+            raise ConfigError(f"window config {w.feature_config.value} != requested {config.value}")
+        if future and not w.future:
+            raise ValueError("window has no future frames")
+    obs = np.array([[(f.state.x, f.state.y, f.state.theta) for f in w.observed] for w in windows])
+    gaze = fut = None
+    if config.uses_gaze:
+        if any(f.gaze_world is None for w in windows for f in w.observed):
             raise ConfigError("window has no gaze channel but gaze features were requested")
-        if math.hypot(g[0], g[1]) < 1e-6:
-            # Gaze pointing straight up/down has no yaw; fall back to the head.
-            yaws[i] = theta[i]
-        else:
-            yaws[i] = math.atan2(g[1], g[0])
-    return yaws
+        gaze = np.array([[f.gaze_world for f in w.observed] for w in windows])[..., :2]
+    if future:
+        fut = np.array([[(f.state.x, f.state.y) for f in w.future] for w in windows])
+    return obs[..., :2], obs[..., 2], gaze, fut
 
 
-def _course(pos: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Direction of travel per frame; index 0 and stationary frames fall back
-    to the state heading (keeps the value defined and rotation-equivariant)."""
-    course = np.empty(len(pos))
-    course[0] = theta[0]
-    for i in range(1, len(pos)):
-        dx, dy = pos[i] - pos[i - 1]
-        if math.hypot(dx, dy) < 1e-9:
-            course[i] = course[i - 1]
-        else:
-            course[i] = math.atan2(dy, dx)
-    return course
+def _body_rotation(theta_ref) -> np.ndarray:
+    """Rotation matrices (..., 2, 2) by the angles ``theta_ref`` (...)."""
+    c, s = np.cos(theta_ref), np.sin(theta_ref)
+    return np.stack([c, -s, s, c], -1).reshape(np.shape(theta_ref) + (2, 2))
 
 
-def _body_rotation(theta_ref: float) -> np.ndarray:
-    c, s = math.cos(theta_ref), math.sin(theta_ref)
-    return np.array([[c, -s], [s, c]])
+def _rotate(xy: np.ndarray, theta) -> np.ndarray:
+    """Points (..., M, 2) rotated about the origin by the angles ``theta`` (...)."""
+    return xy @ np.swapaxes(_body_rotation(theta), -1, -2)
+
+
+def _travel_heading(initial, dp: np.ndarray) -> np.ndarray:
+    """Direction of travel atan2(dy, dx) after each displacement (..., M, 2).
+    Steps under 1e-9 m carry the previous value forward, starting from
+    ``initial`` (...), which keeps it defined and rotation-equivariant."""
+    start = np.broadcast_to(np.asarray(initial)[..., None], dp.shape[:-2] + (1,))
+    values = np.concatenate([start, np.arctan2(dp[..., 1], dp[..., 0])], axis=-1)
+    moving = np.hypot(dp[..., 0], dp[..., 1]) >= 1e-9
+    last = np.maximum.accumulate(np.where(moving, np.arange(1, dp.shape[-2] + 1), 0), axis=-1)
+    return np.take_along_axis(values, last, axis=-1)
+
+
+def _features(pos, theta, gaze, config: FeatureConfig) -> np.ndarray:
+    """Feature vectors (..., T * channels) of the observed arrays (see the
+    module docstring); leading axes broadcast."""
+    dp = np.zeros(pos.shape)
+    dp[..., 1:, :] = pos[..., 1:, :] - pos[..., :-1, :]
+    speed = np.linalg.norm(dp, axis=-1) / FRAME_DT
+    heading_delta = np.zeros(theta.shape)
+    heading_delta[..., 1:] = wrap_angle(theta[..., 1:] - theta[..., :-1])
+    rel_dp = _rotate(dp, -theta[..., -1])
+    cols = [rel_dp[..., 0], rel_dp[..., 1], speed, heading_delta]
+    if config.uses_gaze:
+        # Index 0 and stationary frames take the state heading as course.
+        course = _travel_heading(theta[..., 0], dp)
+        gx, gy = gaze[..., 0], gaze[..., 1]
+        # Gaze pointing straight up/down has no yaw; fall back to the head.
+        gaze_yaw = np.where(np.hypot(gx, gy) < 1e-6, theta, np.arctan2(gy, gx))
+        cols += [wrap_angle(theta - course), wrap_angle(gaze_yaw - course)]
+    feats = np.stack(np.broadcast_arrays(*cols), axis=-1)
+    return feats.reshape(feats.shape[:-2] + (-1,))
+
+
+def _targets(pos, theta, future) -> np.ndarray:
+    """Future positions (N, H, 2) relative to the observation end, in its body
+    frame, flattened to (N, 2 * H)."""
+    return _rotate(future - pos[:, -1, None], -theta[:, -1]).reshape(len(future), -1)
 
 
 def extract_features(window: TrajectoryWindow, config: FeatureConfig) -> np.ndarray:
     """Flatten a window's observed frames into the feature vector for
     ``config``. The window must have been built with the same configuration;
     in particular robot windows cannot provide gaze channels."""
-    if window.feature_config is not config:
-        raise ConfigError(
-            f"window built for {window.feature_config.value} cannot serve {config.value}"
-        )
-    pos, theta = _window_arrays(window)
-    n = len(pos)
-
-    dp = np.zeros((n, 2))
-    dp[1:] = pos[1:] - pos[:-1]
-    speed = np.linalg.norm(dp, axis=1) / FRAME_DT
-    speed[0] = 0.0
-    heading_delta = np.zeros(n)
-    for i in range(1, n):
-        heading_delta[i] = wrap_angle(theta[i] - theta[i - 1])
-
-    theta_ref = float(theta[-1])
-    rel_dp = dp @ _body_rotation(-theta_ref).T
-
-    cols = [rel_dp[:, 0], rel_dp[:, 1], speed, heading_delta]
-    if config.uses_gaze:
-        course = _course(pos, theta)
-        gaze_yaw = _gaze_yaws(window, theta)
-        head_rel = np.array([wrap_angle(t - c) for t, c in zip(theta, course)])
-        gaze_rel = np.array([wrap_angle(g - c) for g, c in zip(gaze_yaw, course)])
-        cols += [head_rel, gaze_rel]
-
-    return np.column_stack(cols).reshape(-1)
+    pos, theta, gaze, _ = window_arrays([window], config)
+    return _features(pos, theta, gaze, config)[0]
 
 
 def extract_targets(window: TrajectoryWindow) -> np.ndarray:
     """Future positions relative to the observation end, in its body frame,
     flattened to (2 * horizon,)."""
-    if not window.future:
-        raise ValueError("window has no future frames to use as targets")
-    pos, theta = _window_arrays(window)
-    theta_ref = float(theta[-1])
-    origin = pos[-1]
-    fut = np.array([[f.state.x, f.state.y] for f in window.future])
-    rel = (fut - origin) @ _body_rotation(-theta_ref).T
-    return rel.reshape(-1)
+    pos, theta, _, fut = window_arrays([window], window.feature_config, future=True)
+    return _targets(pos, theta, fut)[0]
 
 
-def _states_from_displacements(window: TrajectoryWindow, rel: np.ndarray) -> list[AgentState]:
-    """Rotate/translate body-frame displacements back to the world frame and
-    derive headings from finite differences of the predicted positions."""
-    pos, theta = _window_arrays(window)
-    theta_ref = float(theta[-1])
-    world = pos[-1] + rel @ _body_rotation(theta_ref).T
-    states = []
-    prev = pos[-1]
-    prev_heading = theta_ref
-    for point in world:
-        dx, dy = point - prev
-        if math.hypot(dx, dy) >= 1e-9:
-            prev_heading = math.atan2(dy, dx)
-        states.append(AgentState(float(point[0]), float(point[1]), prev_heading))
-        prev = point
-    return states
+def ensemble_jitter(seed, k: int, sigma: float, obs: int) -> np.ndarray:
+    """N(0, sigma^2) offsets (k, obs, 2) for one window's observed x/y: the
+    input jitter that turns a deterministic predictor into a K-member
+    ensemble. One draw of the block is the same stream as k draws of (obs, 2)."""
+    if k < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {k}")
+    if sigma < 0:
+        raise ValueError(f"jitter sigma must be >= 0, got {sigma}")
+    return np.random.default_rng(seed).normal(0.0, sigma, size=(k, obs, 2))
 
 
-def _jitter_window(window: TrajectoryWindow, rng: np.random.Generator,
-                   sigma: float) -> TrajectoryWindow:
-    """Copy of the window with N(0, sigma^2) noise on the observed x/y."""
-    noise = rng.normal(0.0, sigma, size=(len(window.observed), 2))
-    observed = tuple(
-        replace(f, state=AgentState(f.state.x + n[0], f.state.y + n[1], f.state.theta))
-        for f, n in zip(window.observed, noise)
-    )
-    return replace(window, observed=observed)
+def _states(xy: np.ndarray, origin: np.ndarray, theta_ref) -> list[AgentState]:
+    """AgentStates along predicted positions (H, 2), headed along the finite
+    differences from ``origin``, the last observed position."""
+    headings = _travel_heading(theta_ref, np.diff(xy, axis=0, prepend=origin[None]))
+    return [AgentState(x, y, t) for x, y, t in zip(*xy.T.tolist(), headings.tolist())]
 
 
-class ConstantVelocityPredictor:
-    """Extrapolates the mean velocity and yaw rate of the last CV_TAIL frames."""
+class _Forecaster:
+    """Single-window ``predict`` and ``sample`` over a subclass's batched
+    ``forecast`` and its ``feature_config``."""
+
+    def predict(self, window: TrajectoryWindow) -> list[AgentState]:
+        pos, theta, gaze, _ = window_arrays([window], self.feature_config)
+        return _states(self.forecast(pos, theta, gaze)[0], pos[0, -1], theta[0, -1])
+
+    def sample(self, window: TrajectoryWindow, k: int, sigma: float, seed=0) -> list[list[AgentState]]:
+        """K predictions from K input-jittered copies of the window; sigma = 0
+        collapses to K identical trajectories."""
+        pos, theta, gaze, _ = window_arrays([window], self.feature_config)
+        jittered = pos[0] + ensemble_jitter(seed, k, sigma, pos.shape[1])
+        members = self.forecast(jittered, theta, gaze)
+        return [_states(xy, p[-1], theta[0, -1]) for xy, p in zip(members, jittered)]
+
+
+class ConstantVelocityPredictor(_Forecaster):
+    """Extrapolates the mean velocity of the last CV_TAIL frames."""
 
     def __init__(self, feature_config: FeatureConfig, horizon: int = HORIZON_FRAMES):
         self.feature_config = feature_config
         self.horizon = horizon
 
-    def predict(self, window: TrajectoryWindow) -> list[AgentState]:
-        if window.feature_config is not self.feature_config:
-            raise ConfigError(
-                f"window config {window.feature_config.value} != predictor "
-                f"config {self.feature_config.value}"
-            )
-        pos, theta = _window_arrays(window)
-        tail = min(CV_TAIL, len(pos) - 1)
-        velocity = (pos[-1] - pos[-1 - tail]) / (tail * FRAME_DT)
-        yaw_rate = sum(
-            wrap_angle(theta[i] - theta[i - 1]) for i in range(len(theta) - tail, len(theta))
-        ) / (tail * FRAME_DT)
-        states = []
-        for k in range(1, self.horizon + 1):
-            point = pos[-1] + velocity * (k * FRAME_DT)
-            heading = wrap_angle(theta[-1] + yaw_rate * k * FRAME_DT)
-            states.append(AgentState(float(point[0]), float(point[1]), heading))
-        return states
-
-    def sample(self, window: TrajectoryWindow, k: int, sigma: float, seed=0) -> list[list[AgentState]]:
-        return _sample_by_jitter(self, window, k, sigma, seed)
+    def forecast(self, pos, theta, gaze=None) -> np.ndarray:
+        tail = min(CV_TAIL, pos.shape[-2] - 1)
+        velocity = (pos[..., -1, :] - pos[..., -1 - tail, :]) / (tail * FRAME_DT)
+        steps = np.arange(1, self.horizon + 1)[:, None] * FRAME_DT
+        return pos[..., -1, None, :] + velocity[..., None, :] * steps
 
 
 @dataclass
-class RidgeModel:
+class RidgeModel(_Forecaster):
     """Closed-form ridge regressor from window features to future displacements.
 
     Features are normalized per dimension by the training std (scale only;
@@ -215,6 +206,12 @@ class RidgeModel:
     horizon: int
 
     def __post_init__(self):
+        dims = self.obs_frames * self.feature_config.channels
+        lengths = (len(self.mean), len(self.std), len(self.kept))
+        if set(lengths) != {dims}:
+            raise ValidationError(f"mean/std/kept lengths {lengths} != obs_frames * channels")
+        if self.weights.shape != (int(np.count_nonzero(self.kept)), 2 * self.horizon):
+            raise ValidationError(f"weights shape {self.weights.shape} != (kept, 2 * horizon)")
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("model weights contain non-finite values")
         if np.any(self.std[self.kept] <= 0):
@@ -224,40 +221,11 @@ class RidgeModel:
     def dropped_dims(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(~self.kept)]
 
-    def _normalize(self, feats: np.ndarray) -> np.ndarray:
-        return feats[..., self.kept] / self.std[self.kept]
-
-    def predict(self, window: TrajectoryWindow) -> list[AgentState]:
-        if window.feature_config is not self.feature_config:
-            raise ConfigError(
-                f"window config {window.feature_config.value} != model "
-                f"config {self.feature_config.value}"
-            )
-        feats = extract_features(window, self.feature_config)
-        rel = (self._normalize(feats) @ self.weights).reshape(self.horizon, 2)
-        return _states_from_displacements(window, rel)
-
-    def sample(self, window: TrajectoryWindow, k: int, sigma: float, seed=0) -> list[list[AgentState]]:
-        return _sample_by_jitter(self, window, k, sigma, seed)
-
-
-def _sample_by_jitter(predictor, window: TrajectoryWindow, k: int, sigma: float,
-                      seed=0) -> list[list[AgentState]]:
-    """K predictions from K independently input-jittered copies of the window.
-
-    The deterministic predictor is turned into a sampler by perturbing the
-    observed positions; sigma = 0 collapses to K identical trajectories.
-    """
-    if k < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {k}")
-    if sigma < 0:
-        raise ValueError(f"jitter sigma must be >= 0, got {sigma}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(k):
-        jittered = _jitter_window(window, rng, sigma) if sigma > 0 else window
-        out.append(predictor.predict(jittered))
-    return out
+    def forecast(self, pos, theta, gaze=None) -> np.ndarray:
+        feats = _features(pos, theta, gaze, self.feature_config)[..., self.kept]
+        feats /= self.std[self.kept]
+        rel = (feats @ self.weights).reshape(feats.shape[:-1] + (self.horizon, 2))
+        return pos[..., -1, None, :] + _rotate(rel, theta[..., -1])
 
 
 def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3,
@@ -272,8 +240,9 @@ def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3,
     windows = list(windows)
     if not windows:
         raise ValueError("no training windows")
-    X = np.stack([extract_features(w, config) for w in windows])
-    Y = np.stack([extract_targets(w) for w in windows])
+    pos, theta, gaze, fut = window_arrays(windows, config, future=True)
+    X = _features(pos, theta, gaze, config)
+    Y = _targets(pos, theta, fut)
     if Y.shape[1] != 2 * horizon:
         raise ValueError(f"targets have {Y.shape[1]} dims, expected {2 * horizon}")
     n, dim = X.shape
@@ -293,7 +262,7 @@ def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3,
 
     return RidgeModel(
         feature_config=config, lam=float(lam), mean=mean, std=std, kept=kept,
-        weights=weights, obs_frames=len(windows[0].observed), horizon=horizon,
+        weights=weights, obs_frames=pos.shape[1], horizon=horizon,
     )
 
 
@@ -318,22 +287,36 @@ def save_model(model: RidgeModel, path) -> None:
 
 
 def load_model(path) -> RidgeModel:
+    """Read a model file; a truncated, oversized or malformed one raises
+    ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ValidationError(f"{path}: bad model magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        shape = tuple(header["weight_shape"])
-        data = fh.read(8 * shape[0] * shape[1])
-        weights = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-    return RidgeModel(
-        feature_config=FeatureConfig(header["feature_config"]),
-        lam=header["lam"],
-        mean=np.array(header["mean"]),
-        std=np.array(header["std"]),
-        kept=np.array(header["kept"], dtype=bool),
-        weights=weights,
-        obs_frames=header["obs_frames"],
-        horizon=header["horizon"],
-    )
+        size = fh.read(4)
+        if len(size) != 4:
+            raise ValidationError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", size)
+        if hlen > MAX_HEADER_BYTES:
+            raise ValidationError(f"{path}: header length {hlen} exceeds {MAX_HEADER_BYTES}")
+        blob = fh.read(hlen)
+        data = fh.read()
+    if len(blob) != hlen:
+        raise ValidationError(f"{path}: truncated header ({len(blob)} of {hlen} bytes)")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        rows, cols = (int(n) for n in header["weight_shape"])
+        if min(rows, cols) < 0 or len(data) != 8 * rows * cols:
+            raise ValidationError(f"{len(data)} weight bytes for weight shape {(rows, cols)}")
+        return RidgeModel(
+            feature_config=FeatureConfig(header["feature_config"]),
+            lam=header["lam"],
+            mean=np.array(header["mean"], dtype=np.float64),
+            std=np.array(header["std"], dtype=np.float64),
+            kept=np.array(header["kept"], dtype=bool),
+            weights=np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy(),
+            obs_frames=header["obs_frames"],
+            horizon=header["horizon"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
+        raise ValidationError(f"{path}: invalid model file: {exc!r}") from exc

@@ -115,8 +115,8 @@ def _check_contiguous(chunk) -> None:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Whole-session assignment to train/validation/test. Disjointness and
-    coverage are checked at construction."""
+    """Whole-session assignment to train/validation/test. Construction checks
+    only that the buckets are disjoint, not which sessions they cover."""
 
     train: tuple[int, ...]
     validation: tuple[int, ...]

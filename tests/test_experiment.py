@@ -1,0 +1,48 @@
+"""The paper's central comparison as a seeded regression test.
+
+On the benchmark's experiment corpus (10 humans x 40 s, session split
+(0.6, 0.2, 0.2), ridge lam 1, ensembles of K = 20), the test-set ADE must
+keep the order gaze ridge < pose ridge < constant velocity, and ADE, FDE and
+KDE-NLL must equal the values recorded in bench/reference_experiment.json.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from fusioncast.metrics import evaluate
+from fusioncast.predictors import ConstantVelocityPredictor, fit_ridge
+from fusioncast.sessions import resample
+from fusioncast.simulate import CorpusConfig, generate_corpus
+from fusioncast.windows import FeatureConfig, segment, split_sessions
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference_experiment.json"
+RTOL = 1e-12
+
+
+def _reports(seed):
+    sessions = generate_corpus(CorpusConfig(n_human=10, n_robot=0, duration_s=40.0, seed=seed))
+    frames = {s.session_id: resample(s).frames for s in sessions}
+    split = split_sessions(sorted(frames), (0.6, 0.2, 0.2), seed)
+    reports = {}
+    for config in (FeatureConfig.POSE_ONLY, FeatureConfig.POSE_HEAD_GAZE):
+        train = [w for sid in split.train for w in segment(frames[sid], sid, config)]
+        test = [w for sid in split.test for w in segment(frames[sid], sid, config)]
+        predictors = {config.value: fit_ridge(train, config, lam=1.0)}
+        if config is FeatureConfig.POSE_ONLY:
+            predictors["cv"] = ConstantVelocityPredictor(config)
+        for name, predictor in predictors.items():
+            reports[name] = evaluate(predictor, test, config, k=20, seed=seed)
+    return reports
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gaze_beats_pose_beats_cv_and_matches_reference(seed):
+    reference = json.loads(REFERENCE.read_text())
+    assert reference["corpus"] == [10, 0, 40.0]
+    reports = _reports(seed)
+    assert reports["pose_head_gaze"].ade < reports["pose_only"].ade < reports["cv"].ade
+    for name, expected in reference["reports"][str(seed)].items():
+        for key in ("ade", "fde", "kde_nll"):
+            assert getattr(reports[name], key) == pytest.approx(expected[key], rel=RTOL, abs=0)
