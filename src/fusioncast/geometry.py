@@ -1,18 +1,14 @@
-"""Rotation handling, heading extraction, and gaze-ray math.
+"""Rotation handling and heading extraction.
 
 World frame convention used everywhere in this package: right-handed, Z up,
 X forward. A heading is the yaw of the forward axis about +Z, measured from
 +X and wrapped to (-pi, pi]. Quaternions are (w, x, y, z).
-
-Data recorded in a Unity-style frame (left-handed, Y up, Z forward) must be
-converted with :func:`unity_to_world` at ingestion; nothing downstream of
-that conversion knows about any other frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,33 +19,11 @@ TWO_PI = 2.0 * math.pi
 # Forward axis tilts closer to vertical than this -> heading is undefined.
 VERTICAL_EPS = 1e-6
 
-# |q| may deviate from 1 by at most this much before the input is rejected.
-UNIT_NORM_TOL = 1e-6
-
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]. Note the closed upper end: +pi stays +pi.
     Applied to a numpy array, wraps each element the same way."""
     return -((-theta + math.pi) % TWO_PI - math.pi)
-
-
-def normalize_unit(vec, what: str = "vector") -> np.ndarray:
-    """Return ``vec`` scaled to unit norm.
-
-    Inputs must already be within UNIT_NORM_TOL of unit length; anything
-    else (including the zero vector) is a caller bug, not noise. Vectors
-    within 1e-12 of unit are returned unchanged so that re-normalizing an
-    already-normalized vector is bit-stable.
-    """
-    v = np.asarray(vec, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{what} has non-finite components: {v!r}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValidationError(f"{what} norm {norm!r} not within {UNIT_NORM_TOL} of 1")
-    if abs(norm - 1.0) <= 1e-12:
-        return v
-    return v / norm
 
 
 def rotation_from_quaternion(q) -> np.ndarray:
@@ -81,18 +55,6 @@ def quaternion_from_yaw(yaw: float) -> tuple[float, float, float, float]:
     return (math.cos(half), 0.0, 0.0, math.sin(half))
 
 
-def quaternion_multiply(a, b) -> tuple[float, float, float, float]:
-    """Hamilton product a*b for (w, x, y, z) quaternions."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
 def heading_from_orientation(q) -> float:
     """Yaw of the rotated forward axis (+X), projected onto the horizontal plane.
 
@@ -107,24 +69,6 @@ def heading_from_orientation(q) -> float:
             "forward axis is vertical; heading undefined"
         )
     return wrap_angle(math.atan2(fy, fx))
-
-
-def gaze_to_world(rotation: np.ndarray, gaze_local) -> np.ndarray:
-    """Rotate a device-local unit gaze direction into the world frame."""
-    g = normalize_unit(gaze_local, "gaze_local")
-    rot = np.asarray(rotation, dtype=np.float64)
-    if rot.shape != (3, 3):
-        raise ValidationError(f"rotation must be 3x3, got shape {rot.shape}")
-    return rot @ g
-
-
-def unity_to_world(v) -> np.ndarray:
-    """Axis permutation from a Unity-style frame (left-handed, Y up, Z forward)
-    to the internal frame (right-handed, Z up, X forward):
-    (x_u, y_u, z_u) -> (z_u, -x_u, y_u).
-    """
-    u = np.asarray(v, dtype=np.float64)
-    return np.array([u[2], -u[0], u[1]])
 
 
 @dataclass(frozen=True)
@@ -147,28 +91,3 @@ class AgentState:
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class GazeRay:
-    """Half-line from a world-frame origin along a unit gaze direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-
-    def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=np.float64)
-        if origin.shape != (3,) or not np.all(np.isfinite(origin)):
-            raise ValidationError(f"ray origin must be a finite 3-vector, got {self.origin!r}")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", normalize_unit(self.direction, "ray direction"))
-
-    def point_at(self, lam: float) -> np.ndarray:
-        return gaze_ray_point(self, lam)
-
-
-def gaze_ray_point(ray: GazeRay, lam: float) -> np.ndarray:
-    """Point on the ray at parameter ``lam`` >= 0 (meters along the direction)."""
-    if not math.isfinite(lam) or lam < 0.0:
-        raise ValueError(f"ray parameter must be finite and >= 0, got {lam!r}")
-    return ray.origin + lam * ray.direction

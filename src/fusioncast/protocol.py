@@ -306,10 +306,6 @@ class StreamDecoder:
     def __init__(self):
         self._buf = bytearray()
 
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buf)
-
     def feed(self, data: bytes) -> list[Message]:
         self._buf.extend(data)
         out: list[Message] = []

@@ -1,11 +1,13 @@
 """Session buffering, nearest-timestamp alignment, and uniform-rate resampling.
 
-A Session accumulates timestamped pose (and, for humans, gaze) samples from
-one device. After the session ends it can be resampled onto a uniform grid:
-each grid point takes the nearest sample per stream within a tolerance, or
-becomes a gap. The incremental :class:`GridAligner` does the actual work and
-is shared verbatim by the offline :func:`resample` and the live server, which
-is what makes offline and online prediction outputs bit-identical.
+A Session holds the telemetry messages of one device as a single stream:
+each HeadsetSample carries pose and gaze under one timestamp, each
+RobotSample carries pose. After the session ends it can be resampled onto a
+uniform grid: each grid point takes the nearest message within a tolerance,
+or becomes a gap. The incremental :class:`GridAligner` does the actual work
+and is shared verbatim by the offline :func:`resample` and online alignment
+of a live stream, which is what makes offline and online prediction outputs
+bit-identical.
 
 Persistence is one file per session: a SessionStart frame, the telemetry
 frames, and a SessionEnd frame, all in the wire format — on disk and on the
@@ -14,7 +16,6 @@ wire the bytes are the same.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,123 +47,56 @@ def grid_period_us(rate_hz: int) -> int:
     return 1_000_000 // rate_hz
 
 
-@dataclass
-class PoseSample:
-    timestamp_us: int
-    position: np.ndarray  # (3,) meters, world frame
-    orientation: np.ndarray  # (4,) unit quaternion (w, x, y, z)
-
-
-@dataclass
-class GazeSample:
-    timestamp_us: int
-    direction_local: np.ndarray  # (3,) unit vector, device-local frame
+def _sample_type(agent_kind: str) -> type:
+    """The telemetry message type an agent of this kind sends."""
+    if agent_kind == AGENT_HUMAN:
+        return HeadsetSample
+    if agent_kind == AGENT_ROBOT:
+        return RobotSample
+    raise ValueError(f"agent_kind must be 'human' or 'robot', got {agent_kind!r}")
 
 
 class Session:
-    """Append-only sample buffers for one recording, immutable after end().
+    """The telemetry messages of one recording in timestamp order, exactly as
+    they are persisted; append-only, immutable after end()."""
 
-    ``keep_messages`` retains the raw wire messages for persistence; the
-    server turns it off because it appends the bytes straight to disk.
-    """
-
-    def __init__(self, session_id: int, agent_kind: str, label: str = "",
-                 keep_messages: bool = True):
-        if agent_kind not in (AGENT_HUMAN, AGENT_ROBOT):
-            raise ValueError(f"agent_kind must be 'human' or 'robot', got {agent_kind!r}")
+    def __init__(self, session_id: int, agent_kind: str, label: str = ""):
+        self._sample_type = _sample_type(agent_kind)
         self.session_id = int(session_id)
         self.agent_kind = agent_kind
         self.label = label
-        self.pose_stream: list[PoseSample] = []
-        self.gaze_stream: list[GazeSample] = []
-        self.messages: list = [] if keep_messages else None
+        self.messages: list[HeadsetSample | RobotSample] = []
         self.ordering_rejects = 0
         self.ended = False
         self.complete = True
 
     @property
-    def has_gaze(self) -> bool:
-        return self.agent_kind == AGENT_HUMAN
-
-    def first_timestamp_us(self):
-        return self.pose_stream[0].timestamp_us if self.pose_stream else None
-
-    def last_timestamp_us(self):
-        return self.pose_stream[-1].timestamp_us if self.pose_stream else None
-
-    def _check_order(self, stream, timestamp_us: int, what: str):
-        if stream and timestamp_us <= stream[-1].timestamp_us:
-            self.ordering_rejects += 1
-            raise OrderingError(
-                f"{what} timestamp {timestamp_us} not after previous "
-                f"{stream[-1].timestamp_us} (session {self.session_id})"
-            )
-
-    def append_pose(self, timestamp_us: int, position, orientation):
-        if self.ended:
-            raise ValueError(f"session {self.session_id} already ended")
-        self._check_order(self.pose_stream, timestamp_us, "pose")
-        self.pose_stream.append(PoseSample(
-            timestamp_us,
-            np.asarray(position, dtype=np.float64),
-            np.asarray(orientation, dtype=np.float64),
-        ))
-
-    def append_gaze(self, timestamp_us: int, direction_local):
-        if self.ended:
-            raise ValueError(f"session {self.session_id} already ended")
-        self._check_order(self.gaze_stream, timestamp_us, "gaze")
-        self.gaze_stream.append(GazeSample(
-            timestamp_us, np.asarray(direction_local, dtype=np.float64)
-        ))
+    def pose_stream(self) -> list[HeadsetSample | RobotSample]:
+        """Alias of ``messages`` (each message carries the pose)."""
+        return self.messages
 
     def ingest(self, msg):
         """Append one telemetry message. Out-of-order timestamps raise
         OrderingError (counted on the session, not fatal to it)."""
+        if not isinstance(msg, self._sample_type):
+            raise ValueError(f"{self.agent_kind} session takes "
+                             f"{self._sample_type.__name__} messages, got {msg!r}")
         if msg.session_id != self.session_id:
             raise ValueError(
                 f"message session_id {msg.session_id} != session {self.session_id}"
             )
-        if isinstance(msg, HeadsetSample):
-            if self.agent_kind != AGENT_HUMAN:
-                raise ValueError("HeadsetSample sent to a robot session")
-            self.append_pose(msg.timestamp_us, msg.position, msg.orientation)
-            self.append_gaze(msg.timestamp_us, msg.gaze_local)
-        elif isinstance(msg, RobotSample):
-            if self.agent_kind != AGENT_ROBOT:
-                raise ValueError("RobotSample sent to a human session")
-            self.append_pose(msg.timestamp_us, msg.position, msg.orientation)
-        else:
-            raise ValueError(f"not a telemetry message: {msg!r}")
-        if self.messages is not None:
-            self.messages.append(msg)
+        if self.ended:
+            raise ValueError(f"session {self.session_id} already ended")
+        if self.messages and msg.timestamp_us <= self.messages[-1].timestamp_us:
+            self.ordering_rejects += 1
+            raise OrderingError(
+                f"timestamp {msg.timestamp_us} not after previous "
+                f"{self.messages[-1].timestamp_us} (session {self.session_id})"
+            )
+        self.messages.append(msg)
 
     def end(self):
         self.ended = True
-
-
-def align_nearest(stream, target_ts: int, tolerance_us: int):
-    """Sample minimizing |timestamp - target_ts| within the tolerance, or None.
-
-    Ties break toward the earlier sample. ``stream`` must be sorted by
-    timestamp (Session guarantees this).
-    """
-    if not stream:
-        return None
-    idx = bisect.bisect_left(stream, target_ts, key=lambda s: s.timestamp_us)
-    best = None
-    best_diff = None
-    if idx > 0:
-        earlier = stream[idx - 1]
-        best, best_diff = earlier, target_ts - earlier.timestamp_us
-    if idx < len(stream):
-        later = stream[idx]
-        diff = later.timestamp_us - target_ts
-        if best is None or diff < best_diff:  # strict: equal diff keeps the earlier
-            best, best_diff = later, diff
-    if best is None or best_diff > tolerance_us:
-        return None
-    return best
 
 
 @dataclass
@@ -174,31 +108,30 @@ class AlignedFrame:
     state: AgentState | None
     gaze_world: np.ndarray | None = None
     source_pose_ts: int | None = None
-    source_gaze_ts: int | None = None
     is_gap: bool = False
     heading_carried: bool = False
 
 
 class GridAligner:
-    """Incrementally aligns pose/gaze streams onto a uniform timestamp grid.
+    """Incrementally aligns one session's telemetry messages onto a uniform
+    timestamp grid starting at the first message.
 
-    Samples are pushed in timestamp order per stream. A grid point is emitted
-    once every mandatory stream has advanced past grid_ts + tolerance, so no
-    later sample can change the nearest-neighbor choice; finish() flushes the
-    remaining grid points up to the last common timestamp. Memory stays
-    bounded by the tolerance window.
+    Messages are pushed in timestamp order. Each grid point takes the nearest
+    message within the tolerance (the earlier one on ties), or becomes a gap.
+    A grid point is emitted once a message at or past grid_ts + tolerance has
+    arrived, so no later message can change the choice; finish() flushes the
+    remaining grid points up to the last message. Memory stays bounded by
+    the tolerance window.
     """
 
     def __init__(self, agent_kind: str, rate_hz: int = DEFAULT_RATE_HZ,
                  tolerance_us: int = DEFAULT_TOLERANCE_US):
+        self._sample_type = _sample_type(agent_kind)
         self.agent_kind = agent_kind
-        self.needs_gaze = agent_kind == AGENT_HUMAN
         self.period_us = grid_period_us(rate_hz)
         self.tolerance_us = int(tolerance_us)
-        self._pose: deque[PoseSample] = deque()
-        self._gaze: deque[GazeSample] = deque()
-        self._pose_first = self._pose_last = None
-        self._gaze_first = self._gaze_last = None
+        self._buf: deque[HeadsetSample | RobotSample] = deque()
+        self._last_ts = None
         self._grid_ts = None
         self._prev_state: AgentState | None = None
         self._prev_gaze: np.ndarray | None = None
@@ -208,105 +141,58 @@ class GridAligner:
         self.heading_carries = 0
         self._finished = False
 
-    def push_pose(self, sample: PoseSample) -> list[AlignedFrame]:
-        self._pose.append(sample)
-        if self._pose_first is None:
-            self._pose_first = sample.timestamp_us
-        self._pose_last = sample.timestamp_us
-        return self._drain()
-
-    def push_gaze(self, sample: GazeSample) -> list[AlignedFrame]:
-        self._gaze.append(sample)
-        if self._gaze_first is None:
-            self._gaze_first = sample.timestamp_us
-        self._gaze_last = sample.timestamp_us
-        return self._drain()
-
     def push_message(self, msg) -> list[AlignedFrame]:
-        if isinstance(msg, HeadsetSample):
-            frames = self.push_pose(PoseSample(
-                msg.timestamp_us,
-                np.array(msg.position), np.array(msg.orientation),
-            ))
-            frames += self.push_gaze(GazeSample(msg.timestamp_us, np.array(msg.gaze_local)))
-            return frames
-        if isinstance(msg, RobotSample):
-            return self.push_pose(PoseSample(
-                msg.timestamp_us, np.array(msg.position), np.array(msg.orientation)
-            ))
-        raise ValueError(f"not a telemetry message: {msg!r}")
+        if not isinstance(msg, self._sample_type):
+            raise ValueError(f"{self.agent_kind} aligner takes "
+                             f"{self._sample_type.__name__} messages, got {msg!r}")
+        self._buf.append(msg)
+        if self._grid_ts is None:
+            self._grid_ts = msg.timestamp_us
+        self._last_ts = msg.timestamp_us
+        out = []
+        while self._last_ts >= self._grid_ts + self.tolerance_us:
+            out.append(self._emit())
+        return out
 
     def finish(self) -> list[AlignedFrame]:
-        """Flush grid points through the last common timestamp."""
+        """Flush grid points through the last message's timestamp."""
         if self._finished:
             return []
         self._finished = True
-        if not self._grid_init():
+        if self._grid_ts is None:
             return []
-        last_common = self._pose_last
-        if self.needs_gaze:
-            last_common = min(last_common, self._gaze_last)
         out = []
-        while self._grid_ts <= last_common:
+        while self._grid_ts <= self._last_ts:
             out.append(self._emit())
         return out
 
-    def _grid_init(self) -> bool:
-        if self._grid_ts is not None:
-            return True
-        if self._pose_first is None:
-            return False
-        start = self._pose_first
-        if self.needs_gaze:
-            if self._gaze_first is None:
-                return False
-            start = max(start, self._gaze_first)
-        self._grid_ts = start
-        return True
-
-    def _drain(self) -> list[AlignedFrame]:
-        if not self._grid_init():
-            return []
-        out = []
-        while self._ready():
-            out.append(self._emit())
-        return out
-
-    def _ready(self) -> bool:
-        bound = self._grid_ts + self.tolerance_us
-        if self._pose_last < bound:
-            return False
-        if self.needs_gaze and self._gaze_last < bound:
-            return False
-        return True
-
-    def _nearest(self, buf: deque, grid_ts: int):
+    def _nearest(self, grid_ts: int):
         # Prune everything before the tolerance window, then linear-scan it
-        # (the window holds a handful of samples at sane input rates).
+        # (the window holds a handful of messages at sane input rates).
+        buf = self._buf
         low = grid_ts - self.tolerance_us
         while buf and buf[0].timestamp_us < low:
             buf.popleft()
         best = None
         best_diff = None
-        for sample in buf:
-            if sample.timestamp_us > grid_ts + self.tolerance_us:
+        for msg in buf:
+            if msg.timestamp_us > grid_ts + self.tolerance_us:
                 break
-            diff = abs(sample.timestamp_us - grid_ts)
-            if best is None or diff < best_diff:  # ties keep the earlier sample
-                best, best_diff = sample, diff
+            diff = abs(msg.timestamp_us - grid_ts)
+            if best is None or diff < best_diff:  # ties keep the earlier message
+                best, best_diff = msg, diff
         return best
 
     def _emit(self) -> AlignedFrame:
         grid_ts = self._grid_ts
         self._grid_ts += self.period_us
-        pose = self._nearest(self._pose, grid_ts)
-        gaze = self._nearest(self._gaze, grid_ts) if self.needs_gaze else None
-        if pose is None or (self.needs_gaze and gaze is None):
+        msg = self._nearest(grid_ts)
+        if msg is None:
             return self._emit_gap(grid_ts)
 
         heading_carried = False
         try:
-            heading = heading_from_orientation(pose.orientation)
+            heading = heading_from_orientation(msg.orientation)
         except HeadingUndefinedError:
             if self._prev_heading is None:
                 # Degenerate heading before any valid one: nothing to carry.
@@ -315,10 +201,10 @@ class GridAligner:
             heading_carried = True
             self.heading_carries += 1
 
-        state = AgentState(float(pose.position[0]), float(pose.position[1]), heading)
+        state = AgentState(msg.position[0], msg.position[1], heading)
         gaze_world = None
-        if gaze is not None:
-            gaze_world = rotation_from_quaternion(pose.orientation) @ gaze.direction_local
+        if self.agent_kind == AGENT_HUMAN:
+            gaze_world = rotation_from_quaternion(msg.orientation) @ np.array(msg.gaze_local)
 
         self._gap_run = 0
         self._prev_state = state
@@ -328,8 +214,7 @@ class GridAligner:
             timestamp_us=grid_ts,
             state=state,
             gaze_world=gaze_world,
-            source_pose_ts=pose.timestamp_us,
-            source_gaze_ts=gaze.timestamp_us if gaze is not None else None,
+            source_pose_ts=msg.timestamp_us,
             heading_carried=heading_carried,
         )
 
@@ -359,21 +244,14 @@ class ResampleResult:
 
 def resample(session: Session, rate_hz: int = DEFAULT_RATE_HZ,
              tolerance_us: int = DEFAULT_TOLERANCE_US) -> ResampleResult:
-    """Align an ended session onto a uniform grid from the first to the last
-    timestamp common to its mandatory streams."""
+    """Align an ended session onto a uniform grid from its first to its last
+    timestamp by pushing every message through one GridAligner."""
     if not session.ended:
         raise ValueError("resample requires an ended session")
     aligner = GridAligner(session.agent_kind, rate_hz, tolerance_us)
     frames: list[AlignedFrame] = []
-    pose, gaze = session.pose_stream, session.gaze_stream
-    i = j = 0
-    while i < len(pose) or j < len(gaze):
-        if j >= len(gaze) or (i < len(pose) and pose[i].timestamp_us <= gaze[j].timestamp_us):
-            frames += aligner.push_pose(pose[i])
-            i += 1
-        else:
-            frames += aligner.push_gaze(gaze[j])
-            j += 1
+    for msg in session.messages:
+        frames += aligner.push_message(msg)
     frames += aligner.finish()
     note = ""
     if not frames:
@@ -387,8 +265,6 @@ def session_start_message(session: Session) -> SessionStart:
 
 def save_session(session: Session, path) -> None:
     """Persist a session as wire frames: SessionStart, telemetry, SessionEnd."""
-    if session.messages is None:
-        raise ValueError("session was created with keep_messages=False")
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(protocol.encode(session_start_message(session)))

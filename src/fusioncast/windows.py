@@ -62,7 +62,7 @@ def _usable(frame: AlignedFrame, need_gaze: bool) -> bool:
 def _strip_gaze(frame: AlignedFrame) -> AlignedFrame:
     if frame.gaze_world is None:
         return frame
-    return dataclasses.replace(frame, gaze_world=None, source_gaze_ts=None)
+    return dataclasses.replace(frame, gaze_world=None)
 
 
 def segment(frames, session_id: int, feature_config: FeatureConfig,
@@ -72,12 +72,13 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
     future frames at every ``stride`` offset inside each gap-free run.
 
     Pose-only windows get their gaze channel removed at construction, so a
-    predictor handed one structurally cannot read gaze.
+    predictor handed one structurally cannot read gaze. The frames are
+    stripped once, before cutting, so overlapping windows share them.
     """
     if obs < 2 or horizon < 1 or stride < 1:
         raise ValueError(f"bad window geometry obs={obs} horizon={horizon} stride={stride}")
-    frames = list(frames)
     need_gaze = feature_config.uses_gaze
+    frames = list(frames) if need_gaze else [_strip_gaze(f) for f in frames]
     span = obs + horizon
     windows: list[TrajectoryWindow] = []
 
@@ -92,8 +93,6 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
             for k in range(count):
                 start = run_start + k * stride
                 chunk = frames[start:start + span]
-                if not feature_config.uses_gaze:
-                    chunk = [_strip_gaze(f) for f in chunk]
                 _check_contiguous(chunk)
                 windows.append(TrajectoryWindow(
                     session_id=session_id,
@@ -130,15 +129,6 @@ class DatasetSplit:
         merged = set().union(*buckets)
         if total != len(merged):
             raise ConfigError("split buckets are not disjoint")
-
-    def bucket_of(self, session_id: int) -> str:
-        if session_id in self.train:
-            return "train"
-        if session_id in self.validation:
-            return "validation"
-        if session_id in self.test:
-            return "test"
-        raise KeyError(f"session {session_id} not in split")
 
     def to_json(self) -> str:
         return json.dumps({

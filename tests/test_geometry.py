@@ -1,4 +1,4 @@
-"""Rotation, heading, and gaze-ray math."""
+"""Rotation and heading math."""
 
 import math
 
@@ -8,12 +8,8 @@ import pytest
 from fusioncast.errors import HeadingUndefinedError, ValidationError
 from fusioncast.geometry import (
     AgentState,
-    GazeRay,
-    gaze_ray_point,
-    gaze_to_world,
     heading_from_orientation,
     quaternion_from_yaw,
-    quaternion_multiply,
     rotation_from_quaternion,
     wrap_angle,
 )
@@ -36,6 +32,18 @@ def _rotation_matrix_axis_angle(axis, angle):
     kx, ky, kz = axis
     K = np.array([[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]])
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+
+
+def _quaternion_multiply(a, b):
+    """Hamilton product a*b for (w, x, y, z) quaternions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
 
 
 def _random_unit_quat(rng):
@@ -123,7 +131,7 @@ class TestHeading:
         # Oracle: R = Rz(30 deg) @ Ry(20 deg); forward = R @ x_hat; atan2 of its
         # horizontal projection is exactly 30 deg because pitch only shortens it.
         yaw, pitch = math.radians(30), math.radians(20)
-        q = quaternion_multiply(
+        q = _quaternion_multiply(
             _quat_from_axis_angle([0, 0, 1], yaw), _quat_from_axis_angle([0, 1, 0], pitch)
         )
         rot_oracle = _rotation_matrix_axis_angle([0, 0, 1], yaw) @ _rotation_matrix_axis_angle(
@@ -140,79 +148,14 @@ class TestHeading:
             pitch = rng.uniform(-1.2, 1.2)  # keeps forward well off vertical
             roll = rng.uniform(-math.pi, math.pi)
             q = _quat_from_axis_angle([0, 0, 1], yaw)
-            q = quaternion_multiply(q, _quat_from_axis_angle([0, 1, 0], pitch))
-            q = quaternion_multiply(q, _quat_from_axis_angle([1, 0, 0], roll))
+            q = _quaternion_multiply(q, _quat_from_axis_angle([0, 1, 0], pitch))
+            q = _quaternion_multiply(q, _quat_from_axis_angle([1, 0, 0], roll))
             assert heading_from_orientation(q) == pytest.approx(wrap_angle(yaw), abs=1e-9)
 
     def test_vertical_forward_raises(self):
         straight_up = _quat_from_axis_angle([0, 1, 0], -math.pi / 2)
         with pytest.raises(HeadingUndefinedError):
             heading_from_orientation(straight_up)
-
-
-class TestGazeToWorld:
-    def test_identity(self):
-        out = gaze_to_world(np.eye(3), (0, 0, 1))
-        assert np.allclose(out, [0, 0, 1])
-
-    def test_half_turn_reverses_forward_gaze(self):
-        rot = rotation_from_quaternion(quaternion_from_yaw(math.pi))
-        out = gaze_to_world(rot, (1, 0, 0))
-        assert np.allclose(out, [-1, 0, 0], atol=1e-12)
-
-    def test_isometry_over_random_cases(self):
-        rng = np.random.default_rng(29)
-        for _ in range(10_000):
-            rot = rotation_from_quaternion(_random_unit_quat(rng))
-            g = rng.normal(size=3)
-            g /= np.linalg.norm(g)
-            out = gaze_to_world(rot, g)
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-    def test_preserves_pairwise_angles(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            rot = rotation_from_quaternion(_random_unit_quat(rng))
-            a = rng.normal(size=3)
-            b = rng.normal(size=3)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            dot_before = float(a @ b)
-            dot_after = float(gaze_to_world(rot, a) @ gaze_to_world(rot, b))
-            assert abs(dot_before - dot_after) < 1e-12
-
-    def test_rejects_non_unit_gaze(self):
-        with pytest.raises(ValidationError):
-            gaze_to_world(np.eye(3), (0, 0, 2))
-
-
-class TestGazeRay:
-    def test_lambda_zero_is_origin(self):
-        ray = GazeRay(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0]))
-        assert np.allclose(gaze_ray_point(ray, 0.0), [1, 2, 3])
-
-    def test_axis_aligned_arithmetic(self):
-        ray = GazeRay(np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        assert np.allclose(gaze_ray_point(ray, 3.0), [1, 5, 0])
-
-    def test_displacement_norm_equals_lambda(self):
-        rng = np.random.default_rng(37)
-        for _ in range(1000):
-            direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            ray = GazeRay(rng.normal(size=3), direction)
-            lam = float(rng.uniform(0, 50))
-            point = gaze_ray_point(ray, lam)
-            assert abs(np.linalg.norm(point - ray.origin) - lam) < 1e-9
-
-    def test_negative_lambda_rejected(self):
-        ray = GazeRay(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            gaze_ray_point(ray, -0.1)
-
-    def test_direction_normalized_at_construction(self):
-        ray = GazeRay(np.zeros(3), np.array([1.0 + 2e-7, 0.0, 0.0]))
-        assert abs(np.linalg.norm(ray.direction) - 1.0) < 1e-12
 
 
 class TestAgentState:

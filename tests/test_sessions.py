@@ -7,21 +7,17 @@ import numpy as np
 import pytest
 
 from fusioncast.errors import OrderingError
-from fusioncast.geometry import quaternion_from_yaw, quaternion_multiply
+from fusioncast.geometry import quaternion_from_yaw
 from fusioncast.protocol import HeadsetSample, RobotSample
 from fusioncast.sessions import (
     GridAligner,
-    PoseSample,
     Session,
-    align_nearest,
     grid_period_us,
     load_session,
     resample,
     save_session,
 )
 
-MS = 1000  # microseconds per millisecond
-IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 FWD_GAZE = (1.0, 0.0, 0.0)
 
 
@@ -43,9 +39,9 @@ def _human_session(n, sid=1, step_us=100_000, start_us=0):
 class TestIngest:
     def test_single_sample(self):
         session = Session(1, "human")
-        session.ingest(_headset(0))
-        assert len(session.pose_stream) == 1
-        assert len(session.gaze_stream) == 1
+        msg = _headset(0)
+        session.ingest(msg)
+        assert session.messages == [msg]
 
     def test_duplicate_timestamp_rejected_and_counted(self):
         session = Session(1, "human")
@@ -53,9 +49,9 @@ class TestIngest:
         with pytest.raises(OrderingError):
             session.ingest(_headset(1000))
         assert session.ordering_rejects == 1
-        assert len(session.pose_stream) == 1  # session still usable
+        assert len(session.messages) == 1  # session still usable
         session.ingest(_headset(2000))
-        assert len(session.pose_stream) == 2
+        assert len(session.messages) == 2
 
     def test_out_of_order_rejected(self):
         session = Session(1, "human")
@@ -73,6 +69,14 @@ class TestIngest:
         with pytest.raises(ValueError):
             session.ingest(_robot(0, sid=1))
 
+    def test_ingest_after_end_rejected(self):
+        session = _human_session(3)
+        session.end()
+        before = list(session.messages)
+        with pytest.raises(ValueError):
+            session.ingest(_headset(1_000_000))
+        assert session.messages == before
+
     def test_nine_hour_throughput(self):
         # ~324k frames (9 h at 10 Hz) must ingest and resample without blowing up.
         n = 324_000
@@ -86,49 +90,6 @@ class TestIngest:
         assert len(result.frames) == n
         assert result.gap_frames == 0
         assert elapsed < 120, f"ingest+resample took {elapsed:.1f}s"
-
-
-class TestAlignNearest:
-    def test_nearest_wins(self):
-        stream = [PoseSample(100 * MS, np.zeros(3), np.array(IDENTITY_Q)),
-                  PoseSample(200 * MS, np.zeros(3), np.array(IDENTITY_Q))]
-        got = align_nearest(stream, 140 * MS, 50 * MS)
-        assert got.timestamp_us == 100 * MS
-
-    def test_tie_breaks_earlier(self):
-        stream = [PoseSample(100 * MS, np.zeros(3), np.array(IDENTITY_Q)),
-                  PoseSample(200 * MS, np.zeros(3), np.array(IDENTITY_Q))]
-        got = align_nearest(stream, 150 * MS, 50 * MS)
-        assert got.timestamp_us == 100 * MS
-
-    def test_out_of_tolerance_absent(self):
-        stream = [PoseSample(100 * MS, np.zeros(3), np.array(IDENTITY_Q)),
-                  PoseSample(200 * MS, np.zeros(3), np.array(IDENTITY_Q))]
-        assert align_nearest(stream, 400 * MS, 50 * MS) is None
-
-    def test_empty_stream(self):
-        assert align_nearest([], 0, 50 * MS) is None
-
-    def test_matches_linear_scan_oracle(self):
-        # Oracle: brute-force scan for the minimum |ts - target|, earlier on ties.
-        rng = np.random.default_rng(211)
-        for _ in range(10_000):
-            n = int(rng.integers(1, 40))
-            ts = np.unique(rng.integers(0, 5_000, size=n))
-            stream = [PoseSample(int(t), np.zeros(3), np.array(IDENTITY_Q)) for t in ts]
-            target = int(rng.integers(-500, 5_500))
-            tol = int(rng.integers(0, 600))
-
-            best, best_diff = None, None
-            for s in stream:
-                diff = abs(s.timestamp_us - target)
-                if diff <= tol and (best_diff is None or diff < best_diff):
-                    best, best_diff = s, diff
-            got = align_nearest(stream, target, tol)
-            if best is None:
-                assert got is None
-            else:
-                assert got is not None and got.timestamp_us == best.timestamp_us
 
 
 class TestResample:
@@ -170,20 +131,47 @@ class TestResample:
         for a, b in zip(frames, frames[1:]):
             assert b.timestamp_us - a.timestamp_us == 100_000
 
-    def test_gaze_dropout_marks_gaps(self):
-        # Gaze missing for 0.5 s -> 5 consecutive gap frames; oracle = direct count.
+    def test_nearest_matches_linear_scan_oracle(self):
+        # Oracle: brute-force scan for the minimum |ts - grid point| within the
+        # tolerance, earlier on ties; no such sample means a gap frame.
+        rng = np.random.default_rng(211)
+        for _ in range(10_000):
+            ts = np.unique(rng.integers(0, 5_000, size=int(rng.integers(1, 40))))
+            rate_hz = int(rng.choice([500, 1_000, 2_000]))
+            tol = int(rng.integers(0, 600))
+            session = Session(2, "robot")
+            for t in ts:
+                session.ingest(_robot(int(t)))
+            session.end()
+            result = resample(session, rate_hz, tol)
+
+            grid = range(int(ts[0]), int(ts[-1]) + 1, grid_period_us(rate_hz))
+            assert [f.timestamp_us for f in result.frames] == list(grid)
+            gaps = 0
+            for frame in result.frames:
+                best, best_diff = None, None
+                for t in ts:
+                    diff = abs(int(t) - frame.timestamp_us)
+                    if diff <= tol and (best_diff is None or diff < best_diff):
+                        best, best_diff = int(t), diff
+                assert frame.is_gap == (best is None)
+                if best is None:
+                    gaps += 1
+                else:
+                    assert frame.source_pose_ts == best
+            assert result.gap_frames == gaps
+
+    def test_exact_tie_takes_earlier_and_tolerance_is_inclusive(self):
         session = Session(1, "human")
-        for i in range(40):
-            ts = i * 100_000
-            session.append_pose(ts, (0.1 * i, 0.0, 1.6), IDENTITY_Q)
-            if not (10 <= i < 15):
-                session.append_gaze(ts, FWD_GAZE)
+        for t in (0, 75_000, 125_000, 250_000, 400_000):
+            session.ingest(_headset(t))
         session.end()
-        result = resample(session)
-        gap_flags = [f.is_gap for f in result.frames]
-        assert gap_flags[10:15] == [True] * 5
-        assert sum(gap_flags) == 5
-        assert result.gap_frames == 5
+        result = resample(session, 10, 50_000)
+        # Grid 100 ms sits tolerance/2 from 75 and 125 ms; 200 and 300 ms sit
+        # exactly the tolerance from 250 ms.
+        assert [f.source_pose_ts for f in result.frames] == [
+            0, 75_000, 250_000, 250_000, 400_000]
+        assert result.gap_frames == 0
 
     def test_short_gap_carries_state_long_gap_does_not(self):
         session = Session(1, "human")
@@ -200,15 +188,11 @@ class TestResample:
 
     def test_degenerate_heading_carried_forward(self):
         session = Session(1, "human")
-        up_q = quaternion_multiply(quaternion_from_yaw(0.0), (math.cos(-math.pi / 4), 0.0, math.sin(-math.pi / 4), 0.0))
         # pitch -90 deg: forward axis points straight up
+        up_q = (math.cos(-math.pi / 4), 0.0, math.sin(-math.pi / 4), 0.0)
         for i in range(10):
-            ts = i * 100_000
-            if i == 5:
-                session.append_pose(ts, (0.1 * i, 0.0, 1.6), up_q)
-            else:
-                session.append_pose(ts, (0.1 * i, 0.0, 1.6), quaternion_from_yaw(0.3))
-            session.append_gaze(ts, FWD_GAZE)
+            q = up_q if i == 5 else quaternion_from_yaw(0.3)
+            session.ingest(HeadsetSample(i * 100_000, 1, (0.1 * i, 0.0, 1.6), q, FWD_GAZE))
         session.end()
         result = resample(session)
         frame = result.frames[5]
@@ -286,9 +270,7 @@ class TestPersistence:
         assert loaded.agent_kind == "human"
         assert loaded.label == "corridor-test"
         assert loaded.complete
-        assert len(loaded.pose_stream) == 25
-        assert loaded.pose_stream[7].timestamp_us == session.pose_stream[7].timestamp_us
-        assert loaded.pose_stream[7].position[0] == session.pose_stream[7].position[0]
+        assert loaded.messages == session.messages
 
     def test_saved_bytes_identical_across_runs(self, tmp_path):
         for name in ("a.fcs", "b.fcs"):
@@ -306,7 +288,7 @@ class TestPersistence:
         path.write_bytes(data[:-10])  # drop the whole SessionEnd frame
         loaded = load_session(path)
         assert not loaded.complete
-        assert len(loaded.pose_stream) == 10
+        assert len(loaded.messages) == 10
 
     def test_partial_trailing_frame_marks_incomplete(self, tmp_path):
         session = _human_session(10, sid=4)
@@ -317,7 +299,7 @@ class TestPersistence:
         path.write_bytes(data[:-13])  # cut into the last telemetry frame
         loaded = load_session(path)
         assert not loaded.complete
-        assert len(loaded.pose_stream) == 9
+        assert len(loaded.messages) == 9
 
     def test_grid_period_validation(self):
         assert grid_period_us(10) == 100_000

@@ -37,8 +37,8 @@ def _l_shape(width=2.6):
 
 def _world_gaze(session):
     return [
-        rotation_from_quaternion(pose.orientation) @ gaze.direction_local
-        for pose, gaze in zip(session.pose_stream, session.gaze_stream)
+        rotation_from_quaternion(msg.orientation) @ np.array(msg.gaze_local)
+        for msg in session.messages
     ]
 
 
@@ -91,11 +91,11 @@ class TestSimulateHuman:
     def test_straight_zero_noise(self):
         params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0)
         session = simulate_human(_straight(), params, 10.0)
-        headings = [heading_from_orientation(p.orientation) for p in session.pose_stream]
+        headings = [heading_from_orientation(p.orientation) for p in session.messages]
         assert max(abs(h) for h in headings) < 1e-9
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
         assert max(abs(g) for g in gaze_yaws) < 1e-9
-        pos = np.array([p.position[:2] for p in session.pose_stream])
+        pos = np.array([p.position[:2] for p in session.messages])
         speeds = np.linalg.norm(np.diff(pos, axis=0), axis=1) / 0.1
         assert np.allclose(speeds, params.preferred_speed, atol=1e-6)
 
@@ -106,7 +106,7 @@ class TestSimulateHuman:
                                    gaze_lead_s=0.8, head_lead_s=0.4)
         session = simulate_human(_l_shape(), params, 15.0)
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
-        pos = np.array([p.position[:2] for p in session.pose_stream])
+        pos = np.array([p.position[:2] for p in session.messages])
         course = np.arctan2(np.diff(pos[:, 1]), np.diff(pos[:, 0]))
         mid = math.pi / 4
         t_gaze = _first_crossing(gaze_yaws, mid)
@@ -119,9 +119,9 @@ class TestSimulateHuman:
         params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0,
                                    gaze_lead_s=0.8, head_lead_s=0.4)
         session = simulate_human(_l_shape(), params, 15.0)
-        head_yaws = [heading_from_orientation(p.orientation) for p in session.pose_stream]
+        head_yaws = [heading_from_orientation(p.orientation) for p in session.messages]
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
-        pos = np.array([p.position[:2] for p in session.pose_stream])
+        pos = np.array([p.position[:2] for p in session.messages])
         course = np.arctan2(np.diff(pos[:, 1]), np.diff(pos[:, 0]))
         mid = math.pi / 4
         t_gaze = _first_crossing(gaze_yaws, mid)
@@ -144,15 +144,15 @@ class TestSimulateHuman:
             np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0], [16.0, 8.0]]), 2.4
         )
         session = simulate_human(corridor, HumanWalkerParams(seed=5), 60.0)
-        for pose in session.pose_stream:
-            _, lateral = corridor.project(pose.position[:2])
+        for msg in session.messages:
+            _, lateral = corridor.project(msg.position[:2])
             assert abs(lateral) <= corridor.width / 2 + EPS
 
     def test_samples_pass_wire_invariants(self):
         session = simulate_human(_l_shape(), HumanWalkerParams(seed=9), 12.0)
-        for pose, gaze in zip(session.pose_stream, session.gaze_stream):
-            assert abs(np.linalg.norm(pose.orientation) - 1.0) < 1e-9
-            assert abs(np.linalg.norm(gaze.direction_local) - 1.0) < 1e-9
+        for msg in session.messages:
+            assert abs(np.linalg.norm(msg.orientation) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(msg.gaze_local) - 1.0) < 1e-9
 
     def test_short_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestSimulateRobot:
         params = RobotRunParams(waypoints=((0.0, 0.0), (10.0, 0.0)),
                                 cruise_speed=1.0, max_accel=0.5, max_yaw_rate=1.0)
         session = simulate_robot(corridor, params, 25.0)
-        pos = np.array([p.position[:2] for p in session.pose_stream])
+        pos = np.array([p.position[:2] for p in session.messages])
         speeds = np.array([m.linear_speed for m in session.messages])
         assert np.linalg.norm(pos[-1] - [10.0, 0.0]) < 0.05
         assert speeds.max() <= params.cruise_speed + EPS
@@ -190,7 +190,7 @@ class TestSimulateRobot:
         params = RobotRunParams(waypoints=((0.0, 0.0), (8.0, 0.0), (8.0, 8.0)),
                                 cruise_speed=1.2, max_accel=0.6, max_yaw_rate=0.9)
         session = simulate_robot(corridor, params, 40.0)
-        headings = [heading_from_orientation(p.orientation) for p in session.pose_stream]
+        headings = [heading_from_orientation(p.orientation) for p in session.messages]
         for a, b in zip(headings, headings[1:]):
             assert abs(wrap_angle(b - a)) <= params.max_yaw_rate * 0.1 + EPS
         for msg in session.messages:
@@ -238,7 +238,7 @@ class TestCorpus:
         # 30 sessions x 180 s = 90 min at 10 Hz -> 54,000 frames.
         config = CorpusConfig(n_human=20, n_robot=10, duration_s=180.0, seed=1)
         sessions = generate_corpus(config)
-        assert sum(len(s.pose_stream) for s in sessions) == 54_000
+        assert sum(len(s.messages) for s in sessions) == 54_000
 
     def test_variants_differ_by_jitter(self):
         config = CorpusConfig(seed=11, corner_jitter=0.5, width_jitter=0.2)
