@@ -62,7 +62,12 @@ def heading_from_orientation(q) -> float:
     of vertical; callers that need continuity carry the previous heading
     forward themselves and count the event.
     """
-    rot = rotation_from_quaternion(q)
+    return heading_from_rotation(rotation_from_quaternion(q))
+
+
+def heading_from_rotation(rot: np.ndarray) -> float:
+    """:func:`heading_from_orientation` of an orientation already converted by
+    :func:`rotation_from_quaternion`, for callers that reuse the matrix."""
     fx, fy = rot[0, 0], rot[1, 0]  # first column = rotated +X
     if math.hypot(fx, fy) < VERTICAL_EPS:
         raise HeadingUndefinedError(
@@ -87,7 +92,3 @@ class AgentState:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])

@@ -38,9 +38,10 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .geometry import AgentState, wrap_angle
+from .sessions import GRID_PERIOD_US
 from .windows import HORIZON_FRAMES, FeatureConfig, TrajectoryWindow
 
-FRAME_DT = 0.1  # s, fixed by the 10 Hz grid
+FRAME_DT = GRID_PERIOD_US / 1_000_000  # s between aligned frames
 
 MODEL_MAGIC = b"FCM1"
 MAX_HEADER_BYTES = 1 << 20  # a real header is a few KiB; larger is refused unread
@@ -228,12 +229,13 @@ class RidgeModel(_Forecaster):
         return pos[..., -1, None, :] + _rotate(rel, theta[..., -1])
 
 
-def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3,
-              horizon: int = HORIZON_FRAMES) -> RidgeModel:
+def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3) -> RidgeModel:
     """Solve the regularized normal equations (X^T X + lam I) W = X^T Y.
 
-    lam = 0 is accepted but can raise a numeric error on singular designs;
-    negative lam is rejected outright.
+    The windows' frames lie on the fixed 10 Hz grid (sessions.GRID_PERIOD_US)
+    and the model's horizon is their future length. lam = 0 is accepted but
+    can raise a numeric error on singular designs; negative lam is rejected
+    outright.
     """
     if lam < 0:
         raise ValueError(f"ridge lam must be >= 0, got {lam}")
@@ -243,8 +245,6 @@ def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3,
     pos, theta, gaze, fut = window_arrays(windows, config, future=True)
     X = _features(pos, theta, gaze, config)
     Y = _targets(pos, theta, fut)
-    if Y.shape[1] != 2 * horizon:
-        raise ValueError(f"targets have {Y.shape[1]} dims, expected {2 * horizon}")
     n, dim = X.shape
     if n < dim:
         warnings.warn(
@@ -262,7 +262,7 @@ def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3,
 
     return RidgeModel(
         feature_config=config, lam=float(lam), mean=mean, std=std, kept=kept,
-        weights=weights, obs_frames=pos.shape[1], horizon=horizon,
+        weights=weights, obs_frames=pos.shape[1], horizon=fut.shape[1],
     )
 
 

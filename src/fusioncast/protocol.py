@@ -65,9 +65,6 @@ _PREDICTION_HEAD = struct.Struct("<QIH")
 _SESSION_START_HEAD = struct.Struct("<IBH")
 _SESSION_END = struct.Struct("<IB")
 
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
-
 
 def _check_uint(value: int, bits: int, what: str) -> int:
     if not isinstance(value, int) or value < 0 or value >= (1 << bits):
@@ -177,10 +174,6 @@ class Prediction:
                 raise ValidationError(f"prediction theta {theta!r} outside (-pi, pi]")
         object.__setattr__(self, "states", states)
 
-    @property
-    def horizon_count(self) -> int:
-        return len(self.states)
-
 
 Message = Hello | SessionStart | SessionEnd | HeadsetSample | RobotSample | Prediction
 
@@ -223,16 +216,18 @@ def encode(msg: Message) -> bytes:
     return _HEADER.pack(length, tag) + payload
 
 
-def _decode_payload(tag: int, payload: bytes) -> Message:
+def _decode_payload(tag: int, buf, start: int, end: int) -> Message:
+    """The message of type ``tag`` whose payload is ``buf[start:end]``."""
+    size = end - start
     if tag == MSG_HELLO:
-        if payload:
-            raise ProtocolError(f"Hello payload must be empty, got {len(payload)} bytes")
+        if size:
+            raise ProtocolError(f"Hello payload must be empty, got {size} bytes")
         return Hello()
     if tag == MSG_SESSION_START:
-        if len(payload) < _SESSION_START_HEAD.size:
+        if size < _SESSION_START_HEAD.size:
             raise ProtocolError("SessionStart payload too short")
-        sid, kind_code, label_len = _SESSION_START_HEAD.unpack_from(payload)
-        rest = payload[_SESSION_START_HEAD.size:]
+        sid, kind_code, label_len = _SESSION_START_HEAD.unpack_from(buf, start)
+        rest = bytes(buf[start + _SESSION_START_HEAD.size:end])
         if kind_code not in _AGENT_NAMES:
             raise ProtocolError(f"unknown agent kind code {kind_code}")
         if len(rest) != label_len:
@@ -243,61 +238,60 @@ def _decode_payload(tag: int, payload: bytes) -> Message:
             raise ProtocolError(f"SessionStart label is not valid utf-8: {exc}") from exc
         return SessionStart(sid, _AGENT_NAMES[kind_code], label)
     if tag == MSG_SESSION_END:
-        if len(payload) != _SESSION_END.size:
+        if size != _SESSION_END.size:
             raise ProtocolError(f"SessionEnd payload must be {_SESSION_END.size} bytes")
-        sid, complete = _SESSION_END.unpack(payload)
+        sid, complete = _SESSION_END.unpack_from(buf, start)
         return SessionEnd(sid, bool(complete))
     if tag == MSG_HEADSET_SAMPLE:
-        if len(payload) != _HEADSET.size:
-            raise ProtocolError(f"HeadsetSample payload must be {_HEADSET.size} bytes, got {len(payload)}")
-        vals = _HEADSET.unpack(payload)
+        if size != _HEADSET.size:
+            raise ProtocolError(f"HeadsetSample payload must be {_HEADSET.size} bytes, got {size}")
+        vals = _HEADSET.unpack_from(buf, start)
         return HeadsetSample(vals[0], vals[1], vals[2:5], vals[5:9], vals[9:12])
     if tag == MSG_ROBOT_SAMPLE:
-        if len(payload) != _ROBOT.size:
-            raise ProtocolError(f"RobotSample payload must be {_ROBOT.size} bytes, got {len(payload)}")
-        vals = _ROBOT.unpack(payload)
+        if size != _ROBOT.size:
+            raise ProtocolError(f"RobotSample payload must be {_ROBOT.size} bytes, got {size}")
+        vals = _ROBOT.unpack_from(buf, start)
         return RobotSample(vals[0], vals[1], vals[2:5], vals[5:9], vals[9], vals[10])
     if tag == MSG_PREDICTION:
-        if len(payload) < _PREDICTION_HEAD.size:
+        if size < _PREDICTION_HEAD.size:
             raise ProtocolError("Prediction payload too short")
-        ts, sid, count = _PREDICTION_HEAD.unpack_from(payload)
+        ts, sid, count = _PREDICTION_HEAD.unpack_from(buf, start)
         expected = _PREDICTION_HEAD.size + 24 * count
-        if len(payload) != expected:
+        if size != expected:
             raise ProtocolError(
-                f"Prediction payload must be {expected} bytes for {count} states, got {len(payload)}"
+                f"Prediction payload must be {expected} bytes for {count} states, got {size}"
             )
-        flat = struct.unpack_from(f"<{3 * count}d", payload, _PREDICTION_HEAD.size)
+        flat = struct.unpack_from(f"<{3 * count}d", buf, start + _PREDICTION_HEAD.size)
         states = tuple(tuple(flat[3 * i:3 * i + 3]) for i in range(count))
         return Prediction(ts, sid, states)
     raise ProtocolError(f"unknown msg_type 0x{tag:02X}")
 
 
-def decode(buf) -> tuple[Message, bytes] | None:
-    """Decode the first complete frame of ``buf``.
+def decode(buf, offset: int = 0) -> tuple[Message, int] | None:
+    """Decode the frame that starts at ``offset`` in ``buf``.
 
-    Returns (message, unconsumed suffix), or None when the buffer holds only
-    a prefix of a frame (need more bytes; nothing consumed). Raises
-    ProtocolError on anything malformed. Never reads past the declared
-    frame length.
+    Returns (message, offset just past the frame), or None when the buffer
+    holds only a prefix of a frame (need more bytes; nothing consumed).
+    Raises ProtocolError on anything malformed. Reads only that frame's
+    bytes, in place, and never past its declared length, so walking a
+    buffer frame by frame costs time linear in its size.
     """
-    view = bytes(buf)
-    if len(view) < _HEADER.size:
+    if len(buf) - offset < _HEADER.size:
         return None
-    length, tag = _HEADER.unpack_from(view)
+    length, tag = _HEADER.unpack_from(buf, offset)
     if length < 1:
         raise ProtocolError(f"frame length {length} below minimum of 1")
     if length > MAX_FRAME_LEN:
         raise ProtocolError(f"frame length {length} exceeds maximum {MAX_FRAME_LEN}")
-    end = 4 + length
-    if len(view) < end:
+    end = offset + 4 + length
+    if len(buf) < end:
         return None
-    payload = view[_HEADER.size:end]
     try:
-        msg = _decode_payload(tag, payload)
+        msg = _decode_payload(tag, buf, offset + _HEADER.size, end)
     except ValidationError as exc:
         # Bytes parsed but the field content is invalid (NaN, bad norm, ...).
         raise ProtocolError(f"{MSG_NAMES.get(tag, hex(tag))} field invalid: {exc}") from exc
-    return msg, view[end:]
+    return msg, end
 
 
 class StreamDecoder:
@@ -307,12 +301,11 @@ class StreamDecoder:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[Message]:
-        self._buf.extend(data)
+        self._buf += data
         out: list[Message] = []
-        while True:
-            result = decode(self._buf)
-            if result is None:
-                return out
-            msg, rest = result
-            self._buf = bytearray(rest)
+        offset = 0
+        while (result := decode(self._buf, offset)) is not None:
+            msg, offset = result
             out.append(msg)
+        del self._buf[:offset]  # once per call: the work stays linear in the bytes fed
+        return out

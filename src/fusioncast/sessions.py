@@ -1,13 +1,15 @@
-"""Session buffering, nearest-timestamp alignment, and uniform-rate resampling.
+"""Session buffering, nearest-timestamp alignment, and resampling onto the grid.
 
 A Session holds the telemetry messages of one device as a single stream:
 each HeadsetSample carries pose and gaze under one timestamp, each
-RobotSample carries pose. After the session ends it can be resampled onto a
-uniform grid: each grid point takes the nearest message within a tolerance,
-or becomes a gap. The incremental :class:`GridAligner` does the actual work
-and is shared verbatim by the offline :func:`resample` and online alignment
-of a live stream, which is what makes offline and online prediction outputs
-bit-identical.
+RobotSample carries pose. After the session ends it can be resampled onto
+the 10 Hz grid: each grid point takes the nearest message within half a
+period, or becomes a gap. The grid is one fixed decision of the package,
+defined here as GRID_PERIOD_US; the windows, the predictors' frame interval
+and the simulator's step all derive from it. The incremental
+:class:`GridAligner` does the actual work and is shared verbatim by the
+offline :func:`resample` and online alignment of a live stream, which is
+what makes offline and online prediction outputs bit-identical.
 
 Persistence is one file per session: a SessionStart frame, the telemetry
 frames, and a SessionEnd frame, all in the wire format — on disk and on the
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import protocol
 from .errors import HeadingUndefinedError, OrderingError, ProtocolError
-from .geometry import AgentState, heading_from_orientation, rotation_from_quaternion
+from .geometry import AgentState, heading_from_rotation, rotation_from_quaternion
 from .protocol import (
     AGENT_HUMAN,
     AGENT_ROBOT,
@@ -34,17 +36,14 @@ from .protocol import (
     SessionStart,
 )
 
-DEFAULT_RATE_HZ = 10
-DEFAULT_TOLERANCE_US = 50_000  # half the 10 Hz period
+# The one time base: every aligned frame, window, predictor step and
+# simulator step is 100 ms apart (10 Hz).
+GRID_PERIOD_US = 100_000
+# A grid point takes the nearest message at most this far away.
+GRID_TOLERANCE_US = GRID_PERIOD_US // 2
 # Gaps of at most this many consecutive grid points carry the last frame
 # forward (still gap-flagged); longer gaps leave the frames empty.
 BRIDGE_MAX_GAP = 3
-
-
-def grid_period_us(rate_hz: int) -> int:
-    if rate_hz <= 0 or 1_000_000 % rate_hz != 0:
-        raise ValueError(f"rate_hz must divide 1e6 microseconds evenly, got {rate_hz}")
-    return 1_000_000 // rate_hz
 
 
 def _sample_type(agent_kind: str) -> type:
@@ -113,23 +112,20 @@ class AlignedFrame:
 
 
 class GridAligner:
-    """Incrementally aligns one session's telemetry messages onto a uniform
-    timestamp grid starting at the first message.
+    """Incrementally aligns one session's telemetry messages onto the fixed
+    grid (GRID_PERIOD_US apart) starting at the first message.
 
     Messages are pushed in timestamp order. Each grid point takes the nearest
-    message within the tolerance (the earlier one on ties), or becomes a gap.
-    A grid point is emitted once a message at or past grid_ts + tolerance has
-    arrived, so no later message can change the choice; finish() flushes the
-    remaining grid points up to the last message. Memory stays bounded by
-    the tolerance window.
+    message within GRID_TOLERANCE_US (the earlier one on ties), or becomes a
+    gap. A grid point is emitted once a message at or past grid_ts +
+    tolerance has arrived, so no later message can change the choice;
+    finish() flushes the remaining grid points up to the last message.
+    Memory stays bounded by the tolerance window.
     """
 
-    def __init__(self, agent_kind: str, rate_hz: int = DEFAULT_RATE_HZ,
-                 tolerance_us: int = DEFAULT_TOLERANCE_US):
+    def __init__(self, agent_kind: str):
         self._sample_type = _sample_type(agent_kind)
         self.agent_kind = agent_kind
-        self.period_us = grid_period_us(rate_hz)
-        self.tolerance_us = int(tolerance_us)
         self._buf: deque[HeadsetSample | RobotSample] = deque()
         self._last_ts = None
         self._grid_ts = None
@@ -150,7 +146,7 @@ class GridAligner:
             self._grid_ts = msg.timestamp_us
         self._last_ts = msg.timestamp_us
         out = []
-        while self._last_ts >= self._grid_ts + self.tolerance_us:
+        while self._last_ts >= self._grid_ts + GRID_TOLERANCE_US:
             out.append(self._emit())
         return out
 
@@ -170,13 +166,13 @@ class GridAligner:
         # Prune everything before the tolerance window, then linear-scan it
         # (the window holds a handful of messages at sane input rates).
         buf = self._buf
-        low = grid_ts - self.tolerance_us
+        low = grid_ts - GRID_TOLERANCE_US
         while buf and buf[0].timestamp_us < low:
             buf.popleft()
         best = None
         best_diff = None
         for msg in buf:
-            if msg.timestamp_us > grid_ts + self.tolerance_us:
+            if msg.timestamp_us > grid_ts + GRID_TOLERANCE_US:
                 break
             diff = abs(msg.timestamp_us - grid_ts)
             if best is None or diff < best_diff:  # ties keep the earlier message
@@ -185,14 +181,15 @@ class GridAligner:
 
     def _emit(self) -> AlignedFrame:
         grid_ts = self._grid_ts
-        self._grid_ts += self.period_us
+        self._grid_ts += GRID_PERIOD_US
         msg = self._nearest(grid_ts)
         if msg is None:
             return self._emit_gap(grid_ts)
 
+        rot = rotation_from_quaternion(msg.orientation)
         heading_carried = False
         try:
-            heading = heading_from_orientation(msg.orientation)
+            heading = heading_from_rotation(rot)
         except HeadingUndefinedError:
             if self._prev_heading is None:
                 # Degenerate heading before any valid one: nothing to carry.
@@ -204,7 +201,7 @@ class GridAligner:
         state = AgentState(msg.position[0], msg.position[1], heading)
         gaze_world = None
         if self.agent_kind == AGENT_HUMAN:
-            gaze_world = rotation_from_quaternion(msg.orientation) @ np.array(msg.gaze_local)
+            gaze_world = rot @ np.array(msg.gaze_local)
 
         self._gap_run = 0
         self._prev_state = state
@@ -238,17 +235,14 @@ class ResampleResult:
     def __len__(self):
         return len(self.frames)
 
-    def __iter__(self):
-        return iter(self.frames)
 
-
-def resample(session: Session, rate_hz: int = DEFAULT_RATE_HZ,
-             tolerance_us: int = DEFAULT_TOLERANCE_US) -> ResampleResult:
-    """Align an ended session onto a uniform grid from its first to its last
-    timestamp by pushing every message through one GridAligner."""
+def resample(session: Session) -> ResampleResult:
+    """Align an ended session onto the fixed 10 Hz grid (GRID_PERIOD_US) from
+    its first to its last timestamp by pushing every message through one
+    GridAligner."""
     if not session.ended:
         raise ValueError("resample requires an ended session")
-    aligner = GridAligner(session.agent_kind, rate_hz, tolerance_us)
+    aligner = GridAligner(session.agent_kind)
     frames: list[AlignedFrame] = []
     for msg in session.messages:
         frames += aligner.push_message(msg)
@@ -274,24 +268,35 @@ def save_session(session: Session, path) -> None:
 
 
 def load_session(path) -> Session:
-    """Load a persisted session. A missing SessionEnd marks it incomplete."""
+    """Load a persisted session. A missing SessionEnd marks it incomplete.
+
+    A well-framed file whose messages the session cannot take (another
+    session's id or end, a non-telemetry message, out-of-order timestamps)
+    raises ProtocolError naming the file.
+    """
     data = Path(path).read_bytes()
     result = protocol.decode(data)
     if result is None or not isinstance(result[0], SessionStart):
         raise ProtocolError(f"{path}: does not start with a SessionStart frame")
-    start, rest = result
+    start, offset = result
     session = Session(start.session_id, start.agent_kind, start.label)
     saw_end = False
-    while rest:
-        result = protocol.decode(rest)
+    while offset < len(data):
+        result = protocol.decode(data, offset)
         if result is None:
             break  # partial trailing frame: writer died mid-write
-        msg, rest = result
+        msg, offset = result
         if isinstance(msg, SessionEnd):
+            if msg.session_id != session.session_id:
+                raise ProtocolError(f"{path}: SessionEnd of session {msg.session_id} "
+                                    f"in the file of session {session.session_id}")
             session.complete = msg.complete
             saw_end = True
             break
-        session.ingest(msg)
+        try:
+            session.ingest(msg)
+        except ValueError as exc:  # OrderingError included
+            raise ProtocolError(f"{path}: {exc}") from exc
     if not saw_end:
         session.complete = False
     session.end()

@@ -29,11 +29,13 @@ import numpy as np
 from .errors import GenerationError
 from .geometry import quaternion_from_yaw, rotation_from_quaternion, wrap_angle
 from .protocol import AGENT_HUMAN, AGENT_ROBOT, HeadsetSample, RobotSample
-from .sessions import Session
+from .sessions import GRID_PERIOD_US, Session
+from .windows import HORIZON_FRAMES, OBS_FRAMES
 
-SIM_DT = 0.1  # s, sessions are generated directly on the 10 Hz grid
-SIM_STEP_US = 100_000
-DEFAULT_START_TIMESTAMP_US = 1_600_000_000_000_000
+# Sessions are generated directly on the 10 Hz grid.
+SIM_STEP_US = GRID_PERIOD_US
+SIM_DT = SIM_STEP_US / 1_000_000  # s
+START_TIMESTAMP_US = 1_600_000_000_000_000
 
 EYE_HEIGHT_M = 1.6
 ROBOT_MOUNT_HEIGHT_M = 0.5
@@ -50,7 +52,7 @@ REPULSE_STRENGTH = 2.0
 REPULSE_FALLOFF_M = 0.45
 SIDE_BIAS = 0.8
 
-MIN_HUMAN_DURATION_S = 6.0  # one observation + horizon window
+MIN_HUMAN_DURATION_S = (OBS_FRAMES + HORIZON_FRAMES) * SIM_STEP_US / 1_000_000  # one window
 MIN_ROUTE_LENGTH_M = 2.0
 
 
@@ -108,10 +110,6 @@ class CorridorMap:
                 lateral = float(u[0] * w[1] - u[1] * w[0])
                 best = (d2, self._cum[i] + t, lateral)
         return best[1], best[2]
-
-    def inside(self, point, margin: float = 0.0) -> bool:
-        _, lateral = self.project(point)
-        return abs(lateral) <= self.width / 2 - margin
 
     def to_dict(self) -> dict:
         return {
@@ -184,7 +182,6 @@ class RobotRunParams:
     cruise_speed: float = 1.0  # m/s
     max_accel: float = 0.5  # m/s^2
     max_yaw_rate: float = 1.0  # rad/s
-    seed: int = 0
 
     def __post_init__(self):
         if self.cruise_speed <= 0 or self.max_accel <= 0 or self.max_yaw_rate <= 0:
@@ -306,8 +303,7 @@ def _simulate_walker_traces(corridor: CorridorMap, walkers: list[HumanWalkerPara
 
 def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s: float,
                    others: tuple[HumanWalkerParams, ...] = (), session_id: int = 1,
-                   label: str = "", start_timestamp_us: int = DEFAULT_START_TIMESTAMP_US,
-                   ) -> Session:
+                   label: str = "") -> Session:
     """Generate one recorded walker (plus unrecorded companions) as a Session
     of headset samples."""
     if duration_s < MIN_HUMAN_DURATION_S:
@@ -335,7 +331,7 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
         gaze_world = np.array([cos_p * math.cos(gaze_yaw), cos_p * math.sin(gaze_yaw), sin_p])
         gaze_local = rotation_from_quaternion(quat).T @ gaze_world
         session.ingest(HeadsetSample(
-            timestamp_us=start_timestamp_us + t * SIM_STEP_US,
+            timestamp_us=START_TIMESTAMP_US + t * SIM_STEP_US,
             session_id=session_id,
             position=(float(pos[t, 0]), float(pos[t, 1]), EYE_HEIGHT_M),
             orientation=quat,
@@ -346,13 +342,12 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
 
 
 def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: float,
-                   session_id: int = 1, label: str = "",
-                   start_timestamp_us: int = DEFAULT_START_TIMESTAMP_US) -> Session:
+                   session_id: int = 1, label: str = "") -> Session:
     """Drive waypoints with clamped yaw rate and accel-limited speed."""
     if not params.waypoints:
         raise GenerationError("robot run needs at least one waypoint")
     for idx, wp in enumerate(params.waypoints):
-        if not corridor.inside(wp, margin=0.0):
+        if not abs(corridor.project(wp)[1]) <= corridor.width / 2:
             raise GenerationError(f"waypoint {idx} at {wp} lies outside the corridor")
     n_frames = int(round(duration_s / SIM_DT))
     wps = [np.array(wp, dtype=np.float64) for wp in params.waypoints]
@@ -377,7 +372,7 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
     session = Session(session_id, AGENT_ROBOT, label=label)
     for t in range(n_frames):
         session.ingest(RobotSample(
-            timestamp_us=start_timestamp_us + t * SIM_STEP_US,
+            timestamp_us=START_TIMESTAMP_US + t * SIM_STEP_US,
             session_id=session_id,
             position=(float(pos[0]), float(pos[1]), ROBOT_MOUNT_HEIGHT_M),
             orientation=quaternion_from_yaw(theta),
@@ -474,7 +469,6 @@ class CorpusConfig:
                 "cruise_speed": self.robot_template.cruise_speed,
                 "max_accel": self.robot_template.max_accel,
                 "max_yaw_rate": self.robot_template.max_yaw_rate,
-                "seed": self.robot_template.seed,
             },
             "waypoint_jitter": self.waypoint_jitter,
         }
@@ -497,7 +491,6 @@ class CorpusConfig:
                 cruise_speed=raw["robot_template"]["cruise_speed"],
                 max_accel=raw["robot_template"]["max_accel"],
                 max_yaw_rate=raw["robot_template"]["max_yaw_rate"],
-                seed=raw["robot_template"]["seed"],
             ),
             waypoint_jitter=raw.get("waypoint_jitter", 0.25),
         )
@@ -568,7 +561,6 @@ def generate_corpus(config: CorpusConfig) -> list[Session]:
             cruise_speed=template.cruise_speed,
             max_accel=template.max_accel,
             max_yaw_rate=template.max_yaw_rate,
-            seed=_derived_seed(config.seed, 3, j),
         )
         sessions.append(simulate_robot(
             corridor, params, config.duration_s,

@@ -11,8 +11,9 @@ from enum import Enum
 from .errors import ConfigError
 from .sessions import AlignedFrame
 
-OBS_FRAMES = 20  # 2 s at 10 Hz
-HORIZON_FRAMES = 40  # 4 s at 10 Hz
+# Frame counts on the 10 Hz grid (sessions.GRID_PERIOD_US).
+OBS_FRAMES = 20  # 2 s observed
+HORIZON_FRAMES = 40  # 4 s forecast
 DEFAULT_STRIDE = 10  # 1 s between window starts
 
 
@@ -66,20 +67,21 @@ def _strip_gaze(frame: AlignedFrame) -> AlignedFrame:
 
 
 def segment(frames, session_id: int, feature_config: FeatureConfig,
-            obs: int = OBS_FRAMES, horizon: int = HORIZON_FRAMES,
-            stride: int = DEFAULT_STRIDE) -> list[TrajectoryWindow]:
-    """Cut aligned frames into windows of ``obs`` observed + ``horizon``
-    future frames at every ``stride`` offset inside each gap-free run.
+            horizon: int = HORIZON_FRAMES) -> list[TrajectoryWindow]:
+    """Cut frames aligned on the fixed 10 Hz grid into windows of OBS_FRAMES
+    observed + ``horizon`` future frames at every DEFAULT_STRIDE offset
+    inside each gap-free run. A ``horizon`` below HORIZON_FRAMES cuts windows
+    whose future is only partly known, down to one frame.
 
     Pose-only windows get their gaze channel removed at construction, so a
     predictor handed one structurally cannot read gaze. The frames are
     stripped once, before cutting, so overlapping windows share them.
     """
-    if obs < 2 or horizon < 1 or stride < 1:
-        raise ValueError(f"bad window geometry obs={obs} horizon={horizon} stride={stride}")
+    if horizon < 1:
+        raise ValueError(f"window horizon must be >= 1 frame, got {horizon}")
     need_gaze = feature_config.uses_gaze
     frames = list(frames) if need_gaze else [_strip_gaze(f) for f in frames]
-    span = obs + horizon
+    span = OBS_FRAMES + horizon
     windows: list[TrajectoryWindow] = []
 
     run_start = None
@@ -89,17 +91,17 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
             run_start = idx
         if not inside and run_start is not None:
             run_len = idx - run_start
-            count = max(0, (run_len - span) // stride + 1)
+            count = max(0, (run_len - span) // DEFAULT_STRIDE + 1)
             for k in range(count):
-                start = run_start + k * stride
+                start = run_start + k * DEFAULT_STRIDE
                 chunk = frames[start:start + span]
                 _check_contiguous(chunk)
                 windows.append(TrajectoryWindow(
                     session_id=session_id,
                     start_index=start,
                     feature_config=feature_config,
-                    observed=tuple(chunk[:obs]),
-                    future=tuple(chunk[obs:]),
+                    observed=tuple(chunk[:OBS_FRAMES]),
+                    future=tuple(chunk[OBS_FRAMES:]),
                 ))
             run_start = None
     return windows

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import time
 
 import pytest
 
@@ -79,15 +80,22 @@ class TestFraming:
 
     def test_identity_headset_round_trip(self):
         msg = HeadsetSample(0, 0, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-        decoded, rest = decode(encode(msg))
+        frame = encode(msg)
+        decoded, end = decode(frame)
         assert decoded == msg
-        assert rest == b""
+        assert end == len(frame)
 
     def test_two_hellos_split(self):
         stream = encode(Hello()) + encode(Hello())
-        msg, rest = decode(stream)
+        msg, end = decode(stream)
         assert msg == Hello()
-        assert len(rest) == 5
+        assert end == 5
+        assert decode(stream, end) == (Hello(), 10)
+        assert decode(stream, 10) is None
+
+    def test_truncated_frame_at_offset_needs_more(self):
+        stream = encode(Hello()) + struct.pack("<IB", 100, 0x01) + b"\x00" * 20
+        assert decode(stream, 5) is None
 
     def test_truncated_frame_needs_more(self):
         frame = struct.pack("<IB", 100, 0x01) + b"\x00" * 20
@@ -163,9 +171,8 @@ class TestRoundTrip:
             Prediction(789, 7, ((1.0, 2.0, 0.5), (1.1, 2.1, 0.6))),
         ]
         for msg in msgs:
-            decoded, rest = decode(encode(msg))
-            assert decoded == msg, msg
-            assert rest == b""
+            frame = encode(msg)
+            assert decode(frame) == (msg, len(frame)), msg
 
     def test_fuzz_round_trip_100k(self):
         # Bit-exact field equality over 10^5 randomized messages.
@@ -174,9 +181,8 @@ class TestRoundTrip:
         rng = np.random.default_rng(101)
         for _ in range(100_000):
             msg = _random_message(rng)
-            decoded, rest = decode(encode(msg))
-            assert decoded == msg
-            assert rest == b""
+            frame = encode(msg)
+            assert decode(frame) == (msg, len(frame))
 
     def test_round_trip_preserves_float_bits(self):
         import numpy as np
@@ -238,3 +244,22 @@ class TestStreamDecoder:
         for i in range(len(stream)):
             got += dec.feed(stream[i:i + 1])
         assert got == msgs
+
+    def test_feed_work_is_linear_in_frames(self):
+        # One feed of 10x more frames may cost at most 3x more per frame
+        # (median of 3); a decoder that copies the rest of the buffer for
+        # each frame costs about 10x more per frame.
+        frame = encode(HeadsetSample(1, 5, (1, 2, 3), (1, 0, 0, 0), (0, 0, 1)))
+
+        def per_frame(n):
+            times = []
+            for _ in range(3):
+                data = frame * n
+                dec = StreamDecoder()
+                t0 = time.perf_counter()
+                got = dec.feed(data)
+                times.append((time.perf_counter() - t0) / n)
+                assert len(got) == n
+            return sorted(times)[1]
+
+        assert per_frame(20_000) <= 3 * per_frame(2_000)

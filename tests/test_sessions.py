@@ -6,13 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from fusioncast.errors import OrderingError
+from fusioncast import protocol
+from fusioncast.errors import OrderingError, ProtocolError
 from fusioncast.geometry import quaternion_from_yaw
-from fusioncast.protocol import HeadsetSample, RobotSample
+from fusioncast.protocol import Hello, HeadsetSample, RobotSample, SessionEnd, SessionStart
 from fusioncast.sessions import (
+    GRID_PERIOD_US,
+    GRID_TOLERANCE_US,
     GridAligner,
     Session,
-    grid_period_us,
     load_session,
     resample,
     save_session,
@@ -133,40 +135,44 @@ class TestResample:
 
     def test_nearest_matches_linear_scan_oracle(self):
         # Oracle: brute-force scan for the minimum |ts - grid point| within the
-        # tolerance, earlier on ties; no such sample means a gap frame.
+        # tolerance, earlier on ties; no such sample means a gap frame. The
+        # timestamps lie on a lattice of an eighth of the grid period, so
+        # exact ties and hits at exactly the tolerance occur often.
         rng = np.random.default_rng(211)
+        lattice = GRID_PERIOD_US // 8
+        ties = at_tolerance = all_gaps = 0
         for _ in range(10_000):
-            ts = np.unique(rng.integers(0, 5_000, size=int(rng.integers(1, 40))))
-            rate_hz = int(rng.choice([500, 1_000, 2_000]))
-            tol = int(rng.integers(0, 600))
+            ts = np.unique(rng.integers(0, 80, size=int(rng.integers(1, 40)))) * lattice
             session = Session(2, "robot")
             for t in ts:
                 session.ingest(_robot(int(t)))
             session.end()
-            result = resample(session, rate_hz, tol)
+            result = resample(session)
 
-            grid = range(int(ts[0]), int(ts[-1]) + 1, grid_period_us(rate_hz))
+            grid = range(int(ts[0]), int(ts[-1]) + 1, GRID_PERIOD_US)
             assert [f.timestamp_us for f in result.frames] == list(grid)
             gaps = 0
             for frame in result.frames:
-                best, best_diff = None, None
-                for t in ts:
-                    diff = abs(int(t) - frame.timestamp_us)
-                    if diff <= tol and (best_diff is None or diff < best_diff):
-                        best, best_diff = int(t), diff
-                assert frame.is_gap == (best is None)
-                if best is None:
+                diffs = [abs(int(t) - frame.timestamp_us) for t in ts]
+                within = [d for d in diffs if d <= GRID_TOLERANCE_US]
+                assert frame.is_gap == (not within)
+                if not within:
                     gaps += 1
-                else:
-                    assert frame.source_pose_ts == best
+                    continue
+                best_diff = min(within)
+                assert frame.source_pose_ts == int(ts[diffs.index(best_diff)])
+                ties += diffs.count(best_diff) > 1
+                at_tolerance += best_diff == GRID_TOLERANCE_US
             assert result.gap_frames == gaps
+            all_gaps += gaps
+        assert ties and at_tolerance and all_gaps
 
     def test_exact_tie_takes_earlier_and_tolerance_is_inclusive(self):
         session = Session(1, "human")
         for t in (0, 75_000, 125_000, 250_000, 400_000):
             session.ingest(_headset(t))
         session.end()
-        result = resample(session, 10, 50_000)
+        result = resample(session)
         # Grid 100 ms sits tolerance/2 from 75 and 125 ms; 200 and 300 ms sit
         # exactly the tolerance from 250 ms.
         assert [f.source_pose_ts for f in result.frames] == [
@@ -301,7 +307,17 @@ class TestPersistence:
         assert not loaded.complete
         assert len(loaded.messages) == 9
 
-    def test_grid_period_validation(self):
-        assert grid_period_us(10) == 100_000
-        with pytest.raises(ValueError):
-            grid_period_us(3)
+    @pytest.mark.parametrize("body", [
+        [_headset(200_000, sid=4), _headset(100_000, sid=4)],  # out of order
+        [_headset(0, sid=8)],  # another session's sample
+        [_robot(0, sid=4)],  # the other agent kind's sample
+        [_headset(0, sid=4), Hello()],  # not a telemetry message
+        [_headset(0, sid=4), SessionEnd(8)],  # another session's end
+    ], ids=["out_of_order", "session_id", "kind", "hello", "end_of_other_session"])
+    def test_rejected_content_raises_protocol_error(self, tmp_path, body):
+        path = tmp_path / "s4.fcs"
+        body = [protocol.encode(m) for m in body]
+        path.write_bytes(protocol.encode(SessionStart(4, "human")) + b"".join(body)
+                         + protocol.encode(SessionEnd(4)))
+        with pytest.raises(ProtocolError, match="s4.fcs"):
+            load_session(path)

@@ -84,12 +84,15 @@ class TestSegment:
                [(w.start_index, w.observed[0].state.x) for w in b]
 
     def test_count_formula_random_runs(self):
+        # Gap-free runs of random lengths, one gap frame between neighbours.
         rng = np.random.default_rng(5)
+        span = OBS_FRAMES + HORIZON_FRAMES
         for _ in range(50):
-            n = int(rng.integers(0, 400))
-            stride = int(rng.integers(1, 30))
-            windows = segment(_frames(n), 1, FeatureConfig.POSE_HEAD_GAZE, stride=stride)
-            expected = max(0, (n - 60) // stride + 1) if n >= 60 else 0
+            runs = rng.integers(0, 200, size=int(rng.integers(1, 5)))
+            gaps = set(np.cumsum(runs + 1)[:-1] - 1)
+            windows = segment(_frames(int(runs.sum()) + len(gaps), gaps=gaps), 1,
+                              FeatureConfig.POSE_HEAD_GAZE)
+            expected = sum((n - span) // DEFAULT_STRIDE + 1 for n in runs if n >= span)
             assert len(windows) == expected
 
 
