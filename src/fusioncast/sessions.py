@@ -270,19 +270,25 @@ def save_session(session: Session, path) -> None:
 def load_session(path) -> Session:
     """Load a persisted session. A missing SessionEnd marks it incomplete.
 
-    A well-framed file whose messages the session cannot take (another
-    session's id or end, a non-telemetry message, out-of-order timestamps)
-    raises ProtocolError naming the file.
+    A malformed frame, or a well-framed message the session cannot take
+    (another session's id or end, a non-telemetry message, out-of-order
+    timestamps), raises ProtocolError naming the file.
     """
     data = Path(path).read_bytes()
-    result = protocol.decode(data)
+    try:
+        result = protocol.decode(data)
+    except ProtocolError as exc:
+        raise ProtocolError(f"{path}: {exc}") from exc
     if result is None or not isinstance(result[0], SessionStart):
         raise ProtocolError(f"{path}: does not start with a SessionStart frame")
     start, offset = result
     session = Session(start.session_id, start.agent_kind, start.label)
     saw_end = False
     while offset < len(data):
-        result = protocol.decode(data, offset)
+        try:
+            result = protocol.decode(data, offset)
+        except ProtocolError as exc:
+            raise ProtocolError(f"{path}: {exc}") from exc
         if result is None:
             break  # partial trailing frame: writer died mid-write
         msg, offset = result

@@ -14,20 +14,25 @@ Robots follow waypoints with yaw-rate-clamped steering and an accel-limited
 the drive heading and no gaze is emitted.
 
 Everything is seeded and deterministic: the same config yields byte-identical
-session files.
+session files. The per-step loops work on Python floats, not 2-vectors: at two
+components numpy's per-call overhead costs more than the arithmetic, and a
+plain float expression rounds the same way everywhere, where a BLAS dot
+product may fuse or reorder it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import quaternion_from_yaw, rotation_from_quaternion, wrap_angle
+from .geometry import quaternion_from_yaw, wrap_angle
 from .protocol import AGENT_HUMAN, AGENT_ROBOT, HeadsetSample, RobotSample
 from .sessions import GRID_PERIOD_US, Session
 from .windows import HORIZON_FRAMES, OBS_FRAMES
@@ -69,47 +74,53 @@ class CorridorMap:
         self.centerline = np.asarray(self.centerline, dtype=np.float64)
         if self.centerline.ndim != 2 or self.centerline.shape[0] < 2 or self.centerline.shape[1] != 2:
             raise ValueError("centerline must be an (V>=2, 2) polyline")
-        if self.width <= 0:
-            raise ValueError(f"corridor width must be positive, got {self.width}")
+        if not np.all(np.isfinite(self.centerline)):
+            raise ValueError("centerline has non-finite vertices")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"corridor width must be positive and finite, got {self.width}")
+        self.obstacles = tuple(_checked_obstacle(obs) for obs in self.obstacles)
         seg = np.diff(self.centerline, axis=0)
-        self._seg_len = np.linalg.norm(seg, axis=1)
-        if np.any(self._seg_len < 1e-9):
+        seg_len = np.linalg.norm(seg, axis=1)
+        if np.any(seg_len < 1e-9):
             raise ValueError("centerline has zero-length segments")
-        self._seg_dir = seg / self._seg_len[:, None]
-        self._cum = np.concatenate([[0.0], np.cumsum(self._seg_len)])
+        seg_dir = seg / seg_len[:, None]
+        self._cum = [0.0, *np.cumsum(seg_len).tolist()]
+        # (ax, ay, ux, uy, length, cum) per segment: start, unit direction,
+        # length and arc length at the start.
+        self._segs = tuple(zip(*self.centerline[:-1].T.tolist(), *seg_dir.T.tolist(),
+                               seg_len.tolist(), self._cum[:-1]))
 
     @property
     def total_length(self) -> float:
-        return float(self._cum[-1])
+        return self._cum[-1]
 
     def _segment_of(self, s: float) -> int:
         s = min(max(s, 0.0), self.total_length)
-        idx = int(np.searchsorted(self._cum, s, side="right")) - 1
-        return min(max(idx, 0), len(self._seg_len) - 1)
+        return min(max(bisect_right(self._cum, s) - 1, 0), len(self._segs) - 1)
 
-    def point_at(self, s: float) -> np.ndarray:
+    def point_at(self, s: float) -> tuple[float, float]:
         s = min(max(s, 0.0), self.total_length)
-        i = self._segment_of(s)
-        return self.centerline[i] + (s - self._cum[i]) * self._seg_dir[i]
+        ax, ay, ux, uy, _length, cum = self._segs[self._segment_of(s)]
+        return ax + (s - cum) * ux, ay + (s - cum) * uy
 
-    def tangent_at(self, s: float) -> np.ndarray:
-        return self._seg_dir[self._segment_of(s)].copy()
+    def tangent_at(self, s: float) -> tuple[float, float]:
+        _ax, _ay, ux, uy, _length, _cum = self._segs[self._segment_of(s)]
+        return ux, uy
 
     def project(self, point) -> tuple[float, float]:
         """(arc length, signed lateral offset) of the closest centerline point.
-        Lateral is positive to the left of the travel direction."""
-        p = np.asarray(point, dtype=np.float64)
-        best = None
-        for i in range(len(self._seg_len)):
-            a, u, length = self.centerline[i], self._seg_dir[i], self._seg_len[i]
-            t = float(np.clip((p - a) @ u, 0.0, length))
-            closest = a + t * u
-            w = p - closest
-            d2 = float(w @ w)
-            if best is None or d2 < best[0]:
-                lateral = float(u[0] * w[1] - u[1] * w[0])
-                best = (d2, self._cum[i] + t, lateral)
-        return best[1], best[2]
+        Lateral is positive to the left of the travel direction; on a tie the
+        earlier segment wins."""
+        px, py = float(point[0]), float(point[1])
+        best_d2, best_s, best_lateral = math.inf, math.nan, math.nan
+        for ax, ay, ux, uy, length, cum in self._segs:
+            t = min(max((px - ax) * ux + (py - ay) * uy, 0.0), length)
+            wx = px - (ax + t * ux)
+            wy = py - (ay + t * uy)
+            d2 = wx * wx + wy * wy
+            if d2 < best_d2:
+                best_d2, best_s, best_lateral = d2, cum + t, ux * wy - uy * wx
+        return best_s, best_lateral
 
     def to_dict(self) -> dict:
         return {
@@ -125,6 +136,16 @@ class CorridorMap:
             width=float(raw["width"]),
             obstacles=tuple(tuple(o) for o in raw.get("obstacles", [])),
         )
+
+
+def _checked_obstacle(obs) -> tuple[float, float, float]:
+    try:
+        x, y, radius = (float(v) for v in obs)
+    except (TypeError, ValueError):
+        raise ValueError(f"obstacle {obs!r} is not an (x, y, radius) triple") from None
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(radius) and radius > 0):
+        raise ValueError(f"obstacle {obs!r} needs a finite centre and a finite radius > 0")
+    return x, y, radius
 
 
 def save_map(corridor: CorridorMap, path) -> None:
@@ -166,12 +187,20 @@ class HumanWalkerParams:
     gaze_pitch_rad: float = -0.1  # constant downward pitch of the gaze
 
     def __post_init__(self):
+        for name in ("preferred_speed", "head_lead_s", "gaze_lead_s", "heading_noise_std",
+                     "speed_noise_std", "avoid_radius", "start_s", "gaze_pitch_rad"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.gaze_lead_s >= self.head_lead_s >= 0.0):
             raise ValueError(
                 f"need gaze_lead >= head_lead >= 0, got {self.gaze_lead_s}/{self.head_lead_s}"
             )
-        if self.preferred_speed <= 0:
-            raise ValueError("preferred_speed must be positive")
+        for name in ("preferred_speed", "avoid_radius"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("heading_noise_std", "speed_noise_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
 
@@ -194,60 +223,66 @@ class RobotRunParams:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _WalkerState:
-    pos: np.ndarray
+    x: float
+    y: float
     theta: float
     speed: float
     direction: int
     params: HumanWalkerParams
-    rng: np.random.Generator
+    noise: Iterator[float]  # standard normals, drawn in step order
 
 
 def _steer_walker(corridor: CorridorMap, me: _WalkerState,
-                  others: list[_WalkerState]) -> float:
-    """Desired heading from pure pursuit plus repulsion terms."""
-    s_proj, _lateral = corridor.project(me.pos)
+                  walkers: list[_WalkerState]) -> float:
+    """Desired heading from pure pursuit plus repulsion from the other
+    walkers and the obstacles."""
+    x, y = me.x, me.y
+    s_proj, _lateral = corridor.project((x, y))
     length = corridor.total_length
     if me.direction > 0 and s_proj >= length - END_MARGIN_M:
         me.direction = -1
     elif me.direction < 0 and s_proj <= END_MARGIN_M:
         me.direction = 1
-    target = corridor.point_at(s_proj + me.direction * LOOKAHEAD_M)
+    tx, ty = corridor.point_at(s_proj + me.direction * LOOKAHEAD_M)
 
-    desired = target - me.pos
-    norm = np.linalg.norm(desired)
+    dx, dy = tx - x, ty - y
+    norm = math.sqrt(dx * dx + dy * dy)
     if norm > 1e-9:
-        desired = desired / norm * me.params.preferred_speed
+        speed = me.params.preferred_speed
+        dx, dy = dx / norm * speed, dy / norm * speed
 
-    heading_vec = np.array([math.cos(me.theta), math.sin(me.theta)])
-    right = np.array([math.sin(me.theta), -math.cos(me.theta)])
-    for other in others:
-        offset = me.pos - other.pos
-        dist = float(np.linalg.norm(offset))
-        if dist < 1e-9 or dist > 3.0 * me.params.avoid_radius:
+    avoid = me.params.avoid_radius
+    cos_t, sin_t = math.cos(me.theta), math.sin(me.theta)
+    for other in walkers:
+        if other is me:
             continue
-        push = REPULSE_STRENGTH * math.exp((me.params.avoid_radius - dist) / REPULSE_FALLOFF_M)
-        desired = desired + offset / dist * push
-        other_vec = np.array([math.cos(other.theta), math.sin(other.theta)])
-        if float(heading_vec @ other_vec) < -0.2:  # roughly head-on: bias right
-            desired = desired + right * push * SIDE_BIAS
-    for ox, oy, radius in corridor.obstacles:
-        offset = me.pos - np.array([ox, oy])
-        dist = float(np.linalg.norm(offset))
-        reach = radius + me.params.avoid_radius
+        ox, oy = x - other.x, y - other.y
+        dist = math.sqrt(ox * ox + oy * oy)
+        if dist < 1e-9 or dist > 3.0 * avoid:
+            continue
+        push = REPULSE_STRENGTH * math.exp((avoid - dist) / REPULSE_FALLOFF_M)
+        dx, dy = dx + ox / dist * push, dy + oy / dist * push
+        if cos_t * math.cos(other.theta) + sin_t * math.sin(other.theta) < -0.2:
+            # Roughly head-on: bias to the right.
+            dx, dy = dx + sin_t * push * SIDE_BIAS, dy + -cos_t * push * SIDE_BIAS
+    for cx, cy, radius in corridor.obstacles:
+        ox, oy = x - cx, y - cy
+        dist = math.sqrt(ox * ox + oy * oy)
+        reach = radius + avoid
         if dist < 1e-9 or dist > reach + 1.0:
             continue
         push = REPULSE_STRENGTH * math.exp((reach - dist) / REPULSE_FALLOFF_M)
-        desired = desired + offset / dist * push
+        dx, dy = dx + ox / dist * push, dy + oy / dist * push
 
-    return math.atan2(desired[1], desired[0])
+    return math.atan2(dy, dx)
 
 
 def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None:
     params = me.params
     if params.heading_noise_std > 0:
-        psi += float(me.rng.normal(0.0, params.heading_noise_std))
+        psi += params.heading_noise_std * next(me.noise)
     dtheta = wrap_angle(psi - me.theta)
     max_step = WALKER_MAX_YAW_RATE * SIM_DT
     dtheta = min(max(dtheta, -max_step), max_step)
@@ -255,47 +290,51 @@ def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None
 
     v_des = params.preferred_speed * (1.0 - TURN_SLOWDOWN * min(1.0, abs(dtheta) / max_step))
     if params.speed_noise_std > 0:
-        v_des += float(me.rng.normal(0.0, params.speed_noise_std))
+        v_des += params.speed_noise_std * next(me.noise)
     v_des = min(max(v_des, 0.15), params.preferred_speed * 1.3)
     dv = min(max(v_des - me.speed, -WALKER_ACCEL * SIM_DT), WALKER_ACCEL * SIM_DT)
     me.speed += dv
 
-    me.pos = me.pos + me.speed * SIM_DT * np.array([math.cos(me.theta), math.sin(me.theta)])
+    step = me.speed * SIM_DT
+    x, y = me.x + step * math.cos(me.theta), me.y + step * math.sin(me.theta)
 
     # Hard wall constraint: clamp the lateral offset inside the corridor.
-    s_proj, lateral = corridor.project(me.pos)
+    s_proj, lateral = corridor.project((x, y))
     max_lat = corridor.width / 2 - WALL_MARGIN_M
     if abs(lateral) > max_lat:
-        tangent = corridor.tangent_at(s_proj)
-        left = np.array([-tangent[1], tangent[0]])
-        me.pos = corridor.point_at(s_proj) + math.copysign(max_lat, lateral) * left
+        ux, uy = corridor.tangent_at(s_proj)
+        cx, cy = corridor.point_at(s_proj)
+        offset = math.copysign(max_lat, lateral)
+        x, y = cx + offset * -uy, cy + offset * ux
+    me.x, me.y = x, y
 
 
 def _simulate_walker_traces(corridor: CorridorMap, walkers: list[HumanWalkerParams],
                             n_frames: int):
-    """Joint body simulation; returns per-walker (positions, headings) arrays."""
+    """Joint body simulation; returns per-walker lists of (x, y) positions
+    and of headings."""
     states = []
     for params in walkers:
-        start = corridor.point_at(params.start_s)
-        tangent = corridor.tangent_at(params.start_s) * params.direction
+        x, y = corridor.point_at(params.start_s)
+        ux, uy = corridor.tangent_at(params.start_s)
+        # One normal per noisy channel per step, the order the steps use them.
+        draws = n_frames * ((params.heading_noise_std > 0) + (params.speed_noise_std > 0))
+        noise = np.random.default_rng(params.seed).standard_normal(draws).tolist()
         states.append(_WalkerState(
-            pos=start.copy(),
-            theta=math.atan2(tangent[1], tangent[0]),
+            x=x, y=y,
+            theta=math.atan2(uy * params.direction, ux * params.direction),
             speed=params.preferred_speed,
             direction=params.direction,
             params=params,
-            rng=np.random.default_rng(params.seed),
+            noise=iter(noise),
         ))
-    positions = np.zeros((len(walkers), n_frames, 2))
-    headings = np.zeros((len(walkers), n_frames))
-    for t in range(n_frames):
-        for i, st in enumerate(states):
-            positions[i, t] = st.pos
-            headings[i, t] = st.theta
-        desired = [
-            _steer_walker(corridor, st, [o for j, o in enumerate(states) if j != i])
-            for i, st in enumerate(states)
-        ]
+    positions = [[] for _ in states]
+    headings = [[] for _ in states]
+    for _ in range(n_frames):
+        for st, pos, heading in zip(states, positions, headings):
+            pos.append((st.x, st.y))
+            heading.append(st.theta)
+        desired = [_steer_walker(corridor, st, states) for st in states]
         for st, psi in zip(states, desired):
             _advance_walker(corridor, st, psi)
     return positions, headings
@@ -317,25 +356,24 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
     positions, headings = _simulate_walker_traces(corridor, walkers, n_frames)
 
     body = headings[0]
-    pos = positions[0]
     head_shift = int(round(params.head_lead_s / SIM_DT))
     gaze_shift = int(round(params.gaze_lead_s / SIM_DT))
     pitch = params.gaze_pitch_rad
     cos_p, sin_p = math.cos(pitch), math.sin(pitch)
 
     session = Session(session_id, AGENT_HUMAN, label=label)
-    for t in range(n_frames):
-        head_yaw = float(body[min(t + head_shift, n_frames - 1)])
-        gaze_yaw = float(body[min(t + gaze_shift, n_frames - 1)])
-        quat = quaternion_from_yaw(head_yaw)
-        gaze_world = np.array([cos_p * math.cos(gaze_yaw), cos_p * math.sin(gaze_yaw), sin_p])
-        gaze_local = rotation_from_quaternion(quat).T @ gaze_world
+    for t, (x, y) in enumerate(positions[0]):
+        head_yaw = body[min(t + head_shift, n_frames - 1)]
+        gaze_yaw = body[min(t + gaze_shift, n_frames - 1)]
+        # The head only yaws, so the gaze in its frame is the gaze yaw
+        # relative to the head yaw, at the gaze pitch.
+        rel_yaw = gaze_yaw - head_yaw
         session.ingest(HeadsetSample(
             timestamp_us=START_TIMESTAMP_US + t * SIM_STEP_US,
             session_id=session_id,
-            position=(float(pos[t, 0]), float(pos[t, 1]), EYE_HEIGHT_M),
-            orientation=quat,
-            gaze_local=tuple(gaze_local),
+            position=(x, y, EYE_HEIGHT_M),
+            orientation=quaternion_from_yaw(head_yaw),
+            gaze_local=(cos_p * math.cos(rel_yaw), cos_p * math.sin(rel_yaw), sin_p),
         ))
     session.end()
     return session
@@ -350,15 +388,13 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
         if not abs(corridor.project(wp)[1]) <= corridor.width / 2:
             raise GenerationError(f"waypoint {idx} at {wp} lies outside the corridor")
     n_frames = int(round(duration_s / SIM_DT))
-    wps = [np.array(wp, dtype=np.float64) for wp in params.waypoints]
+    wps = params.waypoints
+    legs = [math.sqrt((bx - ax) * (bx - ax) + (by - ay) * (by - ay))
+            for (ax, ay), (bx, by) in zip(wps, wps[1:])]
 
-    pos = wps[0].copy()
+    x, y = wps[0]
     target_idx = 1 if len(wps) > 1 else len(wps)
-    if len(wps) > 1:
-        first_leg = wps[1] - wps[0]
-        theta = math.atan2(first_leg[1], first_leg[0])
-    else:
-        theta = 0.0
+    theta = math.atan2(wps[1][1] - y, wps[1][0] - x) if len(wps) > 1 else 0.0
     speed = 0.0
     yaw_rate = 0.0
     max_dstep = params.max_yaw_rate * SIM_DT
@@ -374,18 +410,18 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
         session.ingest(RobotSample(
             timestamp_us=START_TIMESTAMP_US + t * SIM_STEP_US,
             session_id=session_id,
-            position=(float(pos[0]), float(pos[1]), ROBOT_MOUNT_HEIGHT_M),
+            position=(x, y, ROBOT_MOUNT_HEIGHT_M),
             orientation=quaternion_from_yaw(theta),
-            linear_speed=float(speed),
-            yaw_rate=float(yaw_rate),
+            linear_speed=speed,
+            yaw_rate=yaw_rate,
         ))
 
         if target_idx >= len(wps):
             v_des = 0.0
             dtheta = 0.0
         else:
-            delta = wps[target_idx] - pos
-            dist = float(np.linalg.norm(delta))
+            dx, dy = wps[target_idx][0] - x, wps[target_idx][1] - y
+            dist = math.sqrt(dx * dx + dy * dy)
             capture = 0.04 if target_idx == len(wps) - 1 else 0.15
             if dist < capture:
                 target_idx += 1
@@ -398,8 +434,8 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
                                  params.max_accel * SIM_DT)
                     yaw_rate = 0.0
                     continue
-                delta = wps[target_idx] - pos
-                dist = float(np.linalg.norm(delta))
+                dx, dy = wps[target_idx][0] - x, wps[target_idx][1] - y
+                dist = math.sqrt(dx * dx + dy * dy)
 
             if dist < best_dist - 0.01:
                 best_dist = dist
@@ -409,13 +445,13 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
                 if stall_steps > stall_limit:
                     raise GenerationError(f"waypoint {target_idx} unreachable (robot stalled)")
 
-            desired_heading = math.atan2(delta[1], delta[0]) if dist > 1e-9 else theta
+            desired_heading = math.atan2(dy, dx) if dist > 1e-9 else theta
             heading_err = wrap_angle(desired_heading - theta)
             dtheta = min(max(heading_err, -max_dstep), max_dstep)
 
             remaining = dist
-            for i in range(target_idx, len(wps) - 1):
-                remaining += float(np.linalg.norm(wps[i + 1] - wps[i]))
+            for leg in legs[target_idx:]:
+                remaining += leg
             v_stop = math.sqrt(2.0 * params.max_accel * max(remaining - 0.02, 0.0))
             v_turn = params.cruise_speed if abs(heading_err) < 0.15 else 0.25
             v_des = min(params.cruise_speed, v_stop, v_turn)
@@ -423,7 +459,8 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
         theta = wrap_angle(theta + dtheta)
         yaw_rate = dtheta / SIM_DT
         speed += min(max(v_des - speed, -params.max_accel * SIM_DT), params.max_accel * SIM_DT)
-        pos = pos + speed * SIM_DT * np.array([math.cos(theta), math.sin(theta)])
+        step = speed * SIM_DT
+        x, y = x + step * math.cos(theta), y + step * math.sin(theta)
     session.end()
     return session
 

@@ -321,3 +321,20 @@ class TestPersistence:
                          + protocol.encode(SessionEnd(4)))
         with pytest.raises(ProtocolError, match="s4.fcs"):
             load_session(path)
+
+    @pytest.mark.parametrize("frame", [0, 2], ids=["start_frame", "sample_frame"])
+    def test_malformed_frame_error_names_the_file(self, tmp_path, frame):
+        path = tmp_path / "s9.fcs"
+        save_session(_human_session(3, sid=9), path)
+        data = bytearray(path.read_bytes())
+        start_len = len(protocol.encode(SessionStart(9, "human")))
+        if frame == 0:
+            data[4] = 0xEE  # the SessionStart's type byte: an unknown message type
+        else:
+            # The first position component of the second sample becomes a NaN.
+            pos = start_len + len(protocol.encode(_headset(0, sid=9))) + 5 + 8 + 4
+            data[pos:pos + 8] = b"\xff" * 8
+        path.write_bytes(bytes(data))
+        with pytest.raises(ProtocolError, match="s9.fcs") as info:
+            load_session(path)
+        assert isinstance(info.value.__cause__, ProtocolError)

@@ -1,6 +1,7 @@
 """Synthetic session generation: walkers, robots, corpus reproducibility."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -86,6 +87,86 @@ class TestCorridorMap:
         with pytest.raises(GenerationError, match="bad.json"):
             load_map(path)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_rejects_non_finite_width(self, width):
+        with pytest.raises(ValueError, match="width"):
+            CorridorMap(np.array([[0.0, 0.0], [10.0, 0.0]]), width)
+
+    def test_rejects_non_finite_centerline(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            CorridorMap(np.array([[0.0, 0.0], [10.0, math.nan], [20.0, 0.0]]), 2.6)
+
+    @pytest.mark.parametrize("obstacle", [
+        (5.0, 0.0, math.nan), (math.inf, 0.0, 0.3), (5.0, 0.0, 0.0), (5.0, 0.0, -0.3),
+        (5.0, 0.0), (5.0, 0.0, 0.3, 1.0), (5.0, "a", 0.3), (5.0, None, 0.3),
+    ])
+    def test_rejects_bad_obstacle(self, obstacle):
+        with pytest.raises(ValueError, match="obstacle"):
+            CorridorMap(np.array([[0.0, 0.0], [10.0, 0.0]]), 2.6, obstacles=(obstacle,))
+
+    @pytest.mark.parametrize("change", [
+        {"width": math.nan},
+        {"centerline": [[0.0, 0.0], [math.nan, 0.0]]},
+        {"obstacles": [[5.0, 0.0, math.nan]]},
+        {"obstacles": [[5.0, 0.0, None]]},
+    ], ids=["width", "centerline", "obstacle_nan", "obstacle_null"])
+    def test_non_finite_file_reports_location(self, tmp_path, change):
+        raw = {"centerline": [[0.0, 0.0], [10.0, 0.0]], "width": 2.6, "obstacles": []}
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps({**raw, **change}))  # NaN is written as the NaN token
+        with pytest.raises(GenerationError, match="nonfinite.json"):
+            load_map(path)
+
+    def test_project_matches_dense_sampling_oracle(self):
+        # Oracle: per segment, the nearest of 4001 evenly spaced samples,
+        # refined by bisection on the sign of the distance's slope within one
+        # spacing of it; the nearest segment wins and near-equal distances go
+        # to the earlier segment.
+        corridor = CorpusConfig().base_map
+        vertices = corridor.centerline
+        rng = np.random.default_rng(5)
+        points = [tuple(p) for p in rng.uniform([-4.0, -5.0], [28.0, 13.0], size=(300, 2))]
+        for vx, vy in vertices:  # corners, just off them (off the bisectors), beyond both ends
+            points.append((vx, vy))
+            points.extend((vx + dx, vy + dy) for dx in (-1e-3, 1e-3) for dy in (-2e-3, 2e-3))
+        points += [(-3.0, 0.4), (-0.5, -0.9), (27.0, -0.3), (24.5, 0.8)]
+
+        def oracle(p):
+            best = None
+            start_s = 0.0
+            for a, b in zip(vertices, vertices[1:]):
+                length = float(np.linalg.norm(b - a))
+                u = (b - a) / length
+                samples = np.linspace(0.0, length, 4001)
+                k = int(np.argmin(np.linalg.norm(a + samples[:, None] * u - p, axis=1)))
+                lo, hi = samples[max(k - 1, 0)], samples[min(k + 1, 4000)]
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    if float(np.dot(a + mid * u - p, u)) < 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                t = 0.5 * (lo + hi)
+                w = np.asarray(p) - (a + t * u)
+                dist = float(np.linalg.norm(w))
+                if best is None or dist < best[0] - 1e-12:
+                    best = (dist, start_s + t, float(u[0] * w[1] - u[1] * w[0]))
+                start_s += length
+            return best[1], best[2]
+
+        for p in points:
+            s, lateral = corridor.project(p)
+            s_ref, lateral_ref = oracle(np.asarray(p))
+            assert s == pytest.approx(s_ref, abs=1e-9), p
+            assert lateral == pytest.approx(lateral_ref, abs=1e-9), p
+
+    def test_project_exact_tie_takes_earlier_segment(self):
+        # Outside the left turn at (8, 0) both segments are nearest at the
+        # corner itself; the earlier one gives the lateral offset.
+        corridor = CorpusConfig().base_map
+        assert corridor.project((9.0, -2.0)) == (8.0, -2.0)  # the later one would give -1
+        assert corridor.project((8.0, 0.0)) == (8.0, 0.0)
+
 
 class TestSimulateHuman:
     def test_straight_zero_noise(self):
@@ -136,7 +217,7 @@ class TestSimulateHuman:
         b = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0,
                               start_s=24.0, direction=-1, seed=2)
         traces, _ = _simulate_walker_traces(corridor, [a, b], 150)
-        separation = np.linalg.norm(traces[0] - traces[1], axis=1)
+        separation = np.linalg.norm(np.subtract(traces[0], traces[1]), axis=1)
         assert separation.min() >= a.avoid_radius * 0.5
 
     def test_stays_inside_corridor(self):
@@ -166,6 +247,38 @@ class TestSimulateHuman:
     def test_lead_ordering_enforced(self):
         with pytest.raises(ValueError):
             HumanWalkerParams(gaze_lead_s=0.2, head_lead_s=0.5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("preferred_speed", math.nan), ("preferred_speed", math.inf), ("preferred_speed", 0.0),
+        ("head_lead_s", math.nan), ("gaze_lead_s", math.inf),
+        ("gaze_pitch_rad", math.nan), ("start_s", math.inf),
+        ("heading_noise_std", -0.01), ("heading_noise_std", math.nan),
+        ("speed_noise_std", -0.01), ("speed_noise_std", math.inf),
+        ("avoid_radius", 0.0), ("avoid_radius", -1.0), ("avoid_radius", math.nan),
+    ])
+    def test_walker_params_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HumanWalkerParams(**{field: value})
+
+    def test_corpus_config_rejects_bad_walker_params(self):
+        raw = CorpusConfig(n_human=4, n_robot=2).to_dict()
+        raw["human_template"]["speed_noise_std"] = -0.05
+        with pytest.raises(ValueError, match="speed_noise_std"):
+            CorpusConfig.from_dict(raw)
+
+    def test_walkers_keep_clear_of_obstacle(self):
+        # No walker comes within a disc's radius, whether the disc sits on
+        # the centerline or off it; walkers slip past the one off it.
+        radius = 0.3
+        for centre_y in (0.0, 0.3):
+            corridor = CorridorMap(np.array([[0.0, 0.0], [24.0, 0.0]]), 2.6,
+                                   obstacles=((12.0, centre_y, radius),))
+            for seed in range(5):
+                session = simulate_human(corridor, HumanWalkerParams(seed=seed), 40.0)
+                pos = np.array([msg.position[:2] for msg in session.messages])
+                assert np.linalg.norm(pos - [12.0, centre_y], axis=1).min() > radius
+                if centre_y != 0.0:
+                    assert pos[:, 0].max() > 13.0
 
 
 class TestSimulateRobot:
@@ -218,21 +331,28 @@ class TestSimulateRobot:
             simulate_robot(corridor, params, 120.0)
 
 
+def _corpus_digest(config, directory):
+    directory.mkdir()
+    digest = hashlib.sha256()
+    for session in generate_corpus(config):
+        path = directory / f"{session.session_id}.fcs"
+        save_session(session, path)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 class TestCorpus:
     def test_deterministic_byte_identical(self, tmp_path):
         config = CorpusConfig(n_human=4, n_robot=2, duration_s=20.0, seed=3)
+        assert _corpus_digest(config, tmp_path / "a") == _corpus_digest(config, tmp_path / "b")
 
-        def corpus_digest(subdir):
-            d = tmp_path / subdir
-            d.mkdir()
-            digest = hashlib.sha256()
-            for session in generate_corpus(config):
-                path = d / f"{session.session_id}.fcs"
-                save_session(session, path)
-                digest.update(path.read_bytes())
-            return digest.hexdigest()
-
-        assert corpus_digest("a") == corpus_digest("b")
+    def test_deterministic_with_companions_and_obstacle(self, tmp_path):
+        base = CorpusConfig().base_map
+        config = CorpusConfig(
+            n_human=4, n_robot=2, duration_s=20.0, seed=3, companions=2,
+            base_map=CorridorMap(base.centerline, base.width, obstacles=((12.0, 8.3, 0.3),)),
+        )
+        assert _corpus_digest(config, tmp_path / "a") == _corpus_digest(config, tmp_path / "b")
 
     def test_total_frame_arithmetic(self):
         # 30 sessions x 180 s = 90 min at 10 Hz -> 54,000 frames.
