@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import HeadingUndefinedError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -26,54 +24,50 @@ def wrap_angle(theta: float) -> float:
     return -((-theta + math.pi) % TWO_PI - math.pi)
 
 
-def rotation_from_quaternion(q) -> np.ndarray:
-    """Convert a unit quaternion (w, x, y, z) to a 3x3 rotation matrix.
-
-    The quaternion is renormalized internally; a zero quaternion is rejected.
-    """
-    v = np.asarray(q, dtype=np.float64)
-    if v.shape != (4,):
-        raise ValidationError(f"quaternion must have 4 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"quaternion has non-finite components: {v!r}")
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise ValueError("zero quaternion has no orientation")
-    w, x, y, z = v / norm
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def quaternion_from_yaw(yaw: float) -> tuple[float, float, float, float]:
     """Quaternion for a pure rotation of ``yaw`` radians about world +Z."""
     half = 0.5 * yaw
     return (math.cos(half), 0.0, 0.0, math.sin(half))
 
 
-def heading_from_orientation(q) -> float:
-    """Yaw of the rotated forward axis (+X), projected onto the horizontal plane.
+def heading_and_rotate(q, v=None) -> tuple[float | None, tuple[float, float, float] | None]:
+    """The heading of orientation ``q`` (w, x, y, z), and vector ``v`` rotated by it.
 
-    Raises HeadingUndefinedError when the forward axis is within VERTICAL_EPS
-    of vertical; callers that need continuity carry the previous heading
-    forward themselves and count the event.
+    The heading is the yaw of the rotated forward axis (+X), projected onto
+    the horizontal plane; it is None when that axis is within VERTICAL_EPS of
+    vertical. The rotated vector is None when ``v`` is None. ``q`` is
+    renormalized here; a zero or non-finite quaternion is rejected.
     """
-    return heading_from_rotation(rotation_from_quaternion(q))
+    w, x, y, z = q
+    norm = math.hypot(w, x, y, z)
+    if not math.isfinite(norm):
+        raise ValidationError(f"quaternion has non-finite components: {q!r}")
+    if norm < 1e-12:
+        raise ValueError("zero quaternion has no orientation")
+    w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    # First column of the rotation matrix: the rotated forward axis.
+    fx = 1 - 2 * (y * y + z * z)
+    fy = 2 * (x * y + w * z)
+    heading = None
+    if math.hypot(fx, fy) >= VERTICAL_EPS:
+        heading = wrap_angle(math.atan2(fy, fx))
+    if v is None:
+        return heading, None
+    vx, vy, vz = v
+    return heading, (
+        fx * vx + 2 * (x * y - w * z) * vy + 2 * (x * z + w * y) * vz,
+        fy * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z - w * x) * vz,
+        2 * (x * z - w * y) * vx + 2 * (y * z + w * x) * vy + (1 - 2 * (x * x + y * y)) * vz,
+    )
 
 
-def heading_from_rotation(rot: np.ndarray) -> float:
-    """:func:`heading_from_orientation` of an orientation already converted by
-    :func:`rotation_from_quaternion`, for callers that reuse the matrix."""
-    fx, fy = rot[0, 0], rot[1, 0]  # first column = rotated +X
-    if math.hypot(fx, fy) < VERTICAL_EPS:
-        raise HeadingUndefinedError(
-            "forward axis is vertical; heading undefined"
-        )
-    return wrap_angle(math.atan2(fy, fx))
+def heading_from_orientation(q) -> float:
+    """The heading of :func:`heading_and_rotate`; raises HeadingUndefinedError
+    when the forward axis is within VERTICAL_EPS of vertical."""
+    heading, _ = heading_and_rotate(q)
+    if heading is None:
+        raise HeadingUndefinedError("forward axis is vertical; heading undefined")
+    return heading
 
 
 @dataclass(frozen=True)

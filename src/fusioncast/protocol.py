@@ -12,6 +12,13 @@ closes the connection. Messages are immutable after construction and
 validated there, so encode(decode(bytes)) and decode(encode(msg)) are exact
 inverses, bit-for-bit on every float.
 
+Validation runs in each message's constructor, which is also how decode
+builds messages, and once more in encode. That second check is there
+because a frozen dataclass can still be changed through object.__setattr__,
+and no invalid frame may reach the wire. All three calls go through the same
+validators, whose fast path costs one sum per float tuple: a NaN or an
+infinity makes the sum non-finite, and only then is each component checked.
+
 Payloads:
 
     0x7F Hello         (empty)
@@ -29,6 +36,7 @@ Payloads:
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -73,23 +81,38 @@ def _check_uint(value: int, bits: int, what: str) -> int:
 
 
 def _check_finite_tuple(values, n: int, what: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    out = tuple(map(float, values))
     if len(out) != n:
         raise ValidationError(f"{what} must have {n} components, got {len(out)}")
-    for v in out:
-        if not math.isfinite(v):
-            raise ValidationError(f"{what} has non-finite component {v!r}")
+    # Any NaN or infinity makes the sum non-finite; only then look closer.
+    if not math.isfinite(sum(out)):
+        _check_each_finite(out, what)
     return out
 
 
 def _check_unit_tuple(values, n: int, what: str) -> tuple[float, ...]:
-    out = _check_finite_tuple(values, n, what)
-    norm = math.sqrt(sum(v * v for v in out))
+    out = tuple(map(float, values))
+    if len(out) != n:
+        raise ValidationError(f"{what} must have {n} components, got {len(out)}")
+    # Summed left to right: the renormalized components, and so saved
+    # bytes, depend on this order. Non-finite for any NaN or infinity too.
+    squares = sum(map(operator.mul, out, out))
+    if not math.isfinite(squares):
+        _check_each_finite(out, what)
+    norm = math.sqrt(squares)
     if abs(norm - 1.0) > 1e-6:
         raise ValidationError(f"{what} norm {norm!r} not within 1e-6 of 1")
     if abs(norm - 1.0) <= 1e-12:
         return out
     return tuple(v / norm for v in out)
+
+
+def _check_each_finite(values: tuple[float, ...], what: str) -> None:
+    """Raise for the first non-finite component. A non-finite sum of finite
+    components (an overflow such as 1e308 + 1e308) passes."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValidationError(f"{what} has non-finite component {v!r}")
 
 
 @dataclass(frozen=True)

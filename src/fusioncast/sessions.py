@@ -22,11 +22,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import protocol
-from .errors import HeadingUndefinedError, OrderingError, ProtocolError
-from .geometry import AgentState, heading_from_rotation, rotation_from_quaternion
+from .errors import OrderingError, ProtocolError
+from .geometry import AgentState, heading_and_rotate
 from .protocol import (
     AGENT_HUMAN,
     AGENT_ROBOT,
@@ -44,6 +42,10 @@ GRID_TOLERANCE_US = GRID_PERIOD_US // 2
 # Gaps of at most this many consecutive grid points carry the last frame
 # forward (still gap-flagged); longer gaps leave the frames empty.
 BRIDGE_MAX_GAP = 3
+# Consecutive messages of one stream are at most this far apart (one hour).
+# Alignment emits a frame per grid point between two messages, so this bounds
+# the work and memory a single message can ask for.
+MAX_GAP_US = 3_600_000_000
 
 
 def _sample_type(agent_kind: str) -> type:
@@ -53,6 +55,19 @@ def _sample_type(agent_kind: str) -> type:
     if agent_kind == AGENT_ROBOT:
         return RobotSample
     raise ValueError(f"agent_kind must be 'human' or 'robot', got {agent_kind!r}")
+
+
+def _check_next_timestamp(prev_us: int | None, msg) -> None:
+    """Raise OrderingError unless ``msg`` comes after ``prev_us`` (None for a
+    stream's first message) by at most MAX_GAP_US."""
+    if prev_us is None or 0 < msg.timestamp_us - prev_us <= MAX_GAP_US:
+        return
+    if msg.timestamp_us <= prev_us:
+        problem = "not after"
+    else:
+        problem = f"more than MAX_GAP_US = {MAX_GAP_US} after"
+    raise OrderingError(f"timestamp {msg.timestamp_us} {problem} previous {prev_us} "
+                        f"(session {msg.session_id})")
 
 
 class Session:
@@ -75,8 +90,9 @@ class Session:
         return self.messages
 
     def ingest(self, msg):
-        """Append one telemetry message. Out-of-order timestamps raise
-        OrderingError (counted on the session, not fatal to it)."""
+        """Append one telemetry message. A timestamp not after the previous
+        one, or more than MAX_GAP_US after it, raises OrderingError (counted
+        on the session, not fatal to it)."""
         if not isinstance(msg, self._sample_type):
             raise ValueError(f"{self.agent_kind} session takes "
                              f"{self._sample_type.__name__} messages, got {msg!r}")
@@ -86,12 +102,11 @@ class Session:
             )
         if self.ended:
             raise ValueError(f"session {self.session_id} already ended")
-        if self.messages and msg.timestamp_us <= self.messages[-1].timestamp_us:
+        try:
+            _check_next_timestamp(self.messages[-1].timestamp_us if self.messages else None, msg)
+        except OrderingError:
             self.ordering_rejects += 1
-            raise OrderingError(
-                f"timestamp {msg.timestamp_us} not after previous "
-                f"{self.messages[-1].timestamp_us} (session {self.session_id})"
-            )
+            raise
         self.messages.append(msg)
 
     def end(self):
@@ -105,7 +120,7 @@ class AlignedFrame:
 
     timestamp_us: int
     state: AgentState | None
-    gaze_world: np.ndarray | None = None
+    gaze_world: tuple[float, float, float] | None = None
     source_pose_ts: int | None = None
     is_gap: bool = False
     heading_carried: bool = False
@@ -115,22 +130,25 @@ class GridAligner:
     """Incrementally aligns one session's telemetry messages onto the fixed
     grid (GRID_PERIOD_US apart) starting at the first message.
 
-    Messages are pushed in timestamp order. Each grid point takes the nearest
-    message within GRID_TOLERANCE_US (the earlier one on ties), or becomes a
-    gap. A grid point is emitted once a message at or past grid_ts +
-    tolerance has arrived, so no later message can change the choice;
-    finish() flushes the remaining grid points up to the last message.
+    Messages are pushed in timestamp order, at most MAX_GAP_US apart; any
+    other message raises OrderingError and leaves the aligner as it was.
+    Each grid point takes the nearest message within GRID_TOLERANCE_US (the
+    earlier one on ties), or becomes a gap. A grid point is emitted once a
+    message at or past grid_ts + tolerance has arrived, so no later message
+    can change the choice; finish() flushes the remaining grid points up to
+    the last message.
     Memory stays bounded by the tolerance window.
     """
 
     def __init__(self, agent_kind: str):
         self._sample_type = _sample_type(agent_kind)
         self.agent_kind = agent_kind
+        self._human = agent_kind == AGENT_HUMAN
         self._buf: deque[HeadsetSample | RobotSample] = deque()
         self._last_ts = None
         self._grid_ts = None
         self._prev_state: AgentState | None = None
-        self._prev_gaze: np.ndarray | None = None
+        self._prev_gaze: tuple[float, float, float] | None = None
         self._prev_heading: float | None = None
         self._gap_run = 0
         self.gap_frames = 0
@@ -141,6 +159,7 @@ class GridAligner:
         if not isinstance(msg, self._sample_type):
             raise ValueError(f"{self.agent_kind} aligner takes "
                              f"{self._sample_type.__name__} messages, got {msg!r}")
+        _check_next_timestamp(self._last_ts, msg)
         self._buf.append(msg)
         if self._grid_ts is None:
             self._grid_ts = msg.timestamp_us
@@ -186,23 +205,17 @@ class GridAligner:
         if msg is None:
             return self._emit_gap(grid_ts)
 
-        rot = rotation_from_quaternion(msg.orientation)
-        heading_carried = False
-        try:
-            heading = heading_from_rotation(rot)
-        except HeadingUndefinedError:
+        heading, gaze_world = heading_and_rotate(
+            msg.orientation, msg.gaze_local if self._human else None)
+        heading_carried = heading is None
+        if heading_carried:
             if self._prev_heading is None:
                 # Degenerate heading before any valid one: nothing to carry.
                 return self._emit_gap(grid_ts)
             heading = self._prev_heading
-            heading_carried = True
             self.heading_carries += 1
 
         state = AgentState(msg.position[0], msg.position[1], heading)
-        gaze_world = None
-        if self.agent_kind == AGENT_HUMAN:
-            gaze_world = rot @ np.array(msg.gaze_local)
-
         self._gap_run = 0
         self._prev_state = state
         self._prev_gaze = gaze_world

@@ -124,6 +124,18 @@ class TestFraming:
             decode(struct.pack("<IB", 0, 0x7F))
 
 
+def _valid_headset():
+    return HeadsetSample(1, 2, (0.0, 0.0, 1.6), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _valid_robot():
+    return RobotSample(1, 2, (0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), 1.0, 0.0)
+
+
+def _valid_prediction():
+    return Prediction(1, 2, ((0.0, 0.0, 0.0), (0.1, 0.0, 0.0)))
+
+
 class TestValidation:
     def test_non_finite_position_rejected(self):
         with pytest.raises(ValidationError):
@@ -152,11 +164,120 @@ class TestValidation:
         norm = sum(c * c for c in decoded.orientation) ** 0.5
         assert abs(norm - 1.0) < 1e-9
 
-    def test_encode_rejects_bypassed_construction(self):
-        msg = HeadsetSample(0, 0, (0, 0, 0), (1, 0, 0, 0), (0, 0, 1))
-        object.__setattr__(msg, "position", (float("inf"), 0.0, 0.0))
+    @pytest.mark.parametrize("make, field, value", [
+        (_valid_headset, "position", (float("inf"), 0.0, 0.0)),
+        (_valid_headset, "position", (float("nan"), 0.0, 0.0)),
+        (_valid_headset, "position", (0.0, 0.0)),
+        (_valid_headset, "orientation", (2.0, 0.0, 0.0, 0.0)),
+        (_valid_headset, "gaze_local", (0.0, 0.0, 2.0)),
+        (_valid_headset, "session_id", 2 ** 32),
+        (_valid_headset, "timestamp_us", -1),
+        (_valid_robot, "linear_speed", -1.0),
+        (_valid_prediction, "states", ((0.0, 0.0, 4.0),)),
+    ], ids=["inf_position", "nan_position", "short_position", "non_unit_orientation",
+            "non_unit_gaze", "session_id_too_big", "negative_timestamp", "negative_speed",
+            "theta_out_of_range"])
+    def test_encode_rejects_bypassed_construction(self, make, field, value):
+        msg = make()
+        encode(msg)
+        object.__setattr__(msg, field, value)
         with pytest.raises(ValidationError):
             encode(msg)
+
+
+def _old_check_finite_tuple(values, n, what):
+    """The per-element validator the fast path replaced, kept as its oracle."""
+    out = tuple(float(v) for v in values)
+    if len(out) != n:
+        raise ValidationError(f"{what} must have {n} components, got {len(out)}")
+    for v in out:
+        if not math.isfinite(v):
+            raise ValidationError(f"{what} has non-finite component {v!r}")
+    return out
+
+
+def _old_check_unit_tuple(values, n, what):
+    out = _old_check_finite_tuple(values, n, what)
+    norm = math.sqrt(sum(v * v for v in out))
+    if abs(norm - 1.0) > 1e-6:
+        raise ValidationError(f"{what} norm {norm!r} not within 1e-6 of 1")
+    if abs(norm - 1.0) <= 1e-12:
+        return out
+    return tuple(v / norm for v in out)
+
+
+def _outcome(check, values, n):
+    """The output bits of a validator, or the type and text of what it raised."""
+    try:
+        out = check(values, n, "field")
+    except Exception as exc:  # noqa: BLE001 - the oracle's exceptions are compared too
+        return type(exc), str(exc)
+    return tuple(struct.pack("<d", v) for v in out)
+
+
+def _validator_cases(rng):
+    """Inputs for the validators, as (values, n). Each batch targets one edge."""
+    import numpy as np
+
+    specials = [math.nan, math.inf, -math.inf]
+    cases = []
+    for _ in range(2000):
+        n = int(rng.integers(3, 5))
+        unit = rng.normal(size=n)
+        unit /= math.sqrt(sum(v * v for v in unit))
+        # Norms just inside and outside 1 +- 1e-6 and 1 +- 1e-12, and anywhere.
+        for edge in (1e-6, 1e-12):
+            for factor in (0.5, 0.999, 1.001, 2.0):
+                scale = 1.0 + float(rng.choice([-1.0, 1.0])) * edge * factor
+                cases.append((tuple(unit * scale), n))
+        cases.append((tuple(unit * float(rng.uniform(0.0, 2.0))), n))
+        cases.append((tuple(rng.normal(scale=10.0 ** rng.integers(-300, 300), size=n)), n))
+        # NaN and infinities anywhere, one or two of them (inf beside -inf included).
+        vals = list(unit)
+        for i in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+            vals[int(i)] = specials[int(rng.integers(0, 3))]
+        cases.append((tuple(vals), n))
+        # Finite components whose sum or sum of squares overflows.
+        big = list(rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(154, 308, size=n))
+        cases.append((tuple(big), n))
+        # Wrong lengths.
+        cases.append((tuple(unit), n + int(rng.choice([-1, 1]))))
+    cases += [
+        ((math.inf, -math.inf, 0.0), 3),
+        ((1e308, 1e308, 0.0), 3),
+        ((-1e308, -1e308, 1e308, 0.0), 4),
+        ((1e200, 0.0, 0.0, 0.0), 4),
+        ((1, 0, 0), 3),
+        ((np.int64(1), 0, 0, 0), 4),
+        ((np.float32(0.6), np.float32(0.8), 0.0), 3),
+        ((np.float64(0.6), np.float64(0.8), np.float64(0.0)), 3),
+        (np.array([0.0, 0.6, 0.8]), 3),
+        ((True, 0, 0), 3),
+        (("1.0", "nan", "0"), 3),
+        (("x", 0, 0), 3),
+        ((), 3),
+    ]
+    return cases
+
+
+class TestFastValidation:
+    def test_matches_per_element_oracle(self):
+        import numpy as np
+
+        rng = np.random.default_rng(113)
+        rejected = {"finite": 0, "unit": 0}
+        accepted = {"finite": 0, "unit": 0}
+        pairs = (("finite", protocol._check_finite_tuple, _old_check_finite_tuple),
+                 ("unit", protocol._check_unit_tuple, _old_check_unit_tuple))
+        for values, n in _validator_cases(rng):
+            for name, fast, old in pairs:
+                want = _outcome(old, values, n)
+                assert _outcome(fast, values, n) == want, (name, values, n)
+                if isinstance(want[0], bytes):
+                    accepted[name] += 1
+                else:
+                    rejected[name] += 1
+        assert min(rejected.values()) > 3000 and min(accepted.values()) > 3000
 
 
 class TestRoundTrip:

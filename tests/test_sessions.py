@@ -1,5 +1,6 @@
 """Session ingestion, nearest-timestamp alignment, resampling, persistence."""
 
+import hashlib
 import math
 import time
 
@@ -13,12 +14,14 @@ from fusioncast.protocol import Hello, HeadsetSample, RobotSample, SessionEnd, S
 from fusioncast.sessions import (
     GRID_PERIOD_US,
     GRID_TOLERANCE_US,
+    MAX_GAP_US,
     GridAligner,
     Session,
     load_session,
     resample,
     save_session,
 )
+from fusioncast.simulate import CorpusConfig, generate_corpus
 
 FWD_GAZE = (1.0, 0.0, 0.0)
 
@@ -92,6 +95,50 @@ class TestIngest:
         assert len(result.frames) == n
         assert result.gap_frames == 0
         assert elapsed < 120, f"ingest+resample took {elapsed:.1f}s"
+
+
+class TestTimestampBound:
+    U64_MAX = 2 ** 64 - 1
+
+    def test_gap_bound_inclusive_on_ingest(self):
+        session = Session(2, "robot")
+        session.ingest(_robot(0))
+        session.ingest(_robot(MAX_GAP_US))
+        with pytest.raises(OrderingError, match="MAX_GAP_US"):
+            session.ingest(_robot(2 * MAX_GAP_US + 1))
+        assert session.ordering_rejects == 1
+        assert len(session.messages) == 2
+
+    def test_u64_jump_raises_online_in_bounded_time(self):
+        aligner = GridAligner("robot")
+        assert aligner.push_message(_robot(0)) == []
+        t0 = time.perf_counter()
+        with pytest.raises(OrderingError):
+            aligner.push_message(_robot(self.U64_MAX))
+        assert time.perf_counter() - t0 < 0.5
+        # The rejected message left no trace: alignment carries on as before.
+        frames = aligner.push_message(_robot(GRID_PERIOD_US)) + aligner.finish()
+        assert [f.source_pose_ts for f in frames] == [0, GRID_PERIOD_US]
+
+    def test_u64_jump_raises_offline_in_bounded_time(self, tmp_path):
+        path = tmp_path / "s2.fcs"
+        body = [SessionStart(2, "robot"), _robot(0), _robot(self.U64_MAX), SessionEnd(2)]
+        path.write_bytes(b"".join(protocol.encode(m) for m in body))
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError, match="s2.fcs") as info:
+            load_session(path)
+        assert time.perf_counter() - t0 < 0.5
+        assert isinstance(info.value.__cause__, OrderingError)
+
+    @pytest.mark.parametrize("ts", [GRID_PERIOD_US, 2 * GRID_PERIOD_US], ids=["backwards", "repeated"])
+    def test_aligner_rejects_timestamp_not_after_previous(self, ts):
+        aligner = GridAligner("human")
+        aligner.push_message(_headset(0))
+        aligner.push_message(_headset(2 * GRID_PERIOD_US))
+        with pytest.raises(OrderingError, match="not after"):
+            aligner.push_message(_headset(ts))
+        frames = aligner.finish()
+        assert [f.source_pose_ts for f in frames] == [2 * GRID_PERIOD_US]
 
 
 class TestResample:
@@ -284,6 +331,19 @@ class TestPersistence:
             session.end()
             save_session(session, tmp_path / name)
         assert (tmp_path / "a.fcs").read_bytes() == (tmp_path / "b.fcs").read_bytes()
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        # SHA-256 of the saved files of a small seeded corpus, recorded from an
+        # earlier build of the package: any change that moves one saved bit
+        # fails here. The simulator's floats come from libm's trigonometry,
+        # so a platform with a different libm may need its own digest.
+        digest = hashlib.sha256()
+        for session in generate_corpus(CorpusConfig(n_human=3, n_robot=3, duration_s=8.0, seed=11)):
+            path = tmp_path / f"{session.session_id}.fcs"
+            save_session(session, path)
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "a2b5335fcfff2fa3ac85dc4ec0cbd4fea423a95ffc7e8ef0cb58a52b936c1819")
 
     def test_missing_end_marks_incomplete(self, tmp_path):
         session = _human_session(10, sid=4)

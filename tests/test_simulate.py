@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fusioncast.errors import GenerationError
-from fusioncast.geometry import heading_from_orientation, rotation_from_quaternion, wrap_angle
+from fusioncast.geometry import heading_and_rotate, heading_from_orientation, wrap_angle
 from fusioncast.sessions import save_session
 from fusioncast.simulate import (
     CorpusConfig,
@@ -37,10 +37,7 @@ def _l_shape(width=2.6):
 
 
 def _world_gaze(session):
-    return [
-        rotation_from_quaternion(msg.orientation) @ np.array(msg.gaze_local)
-        for msg in session.messages
-    ]
+    return [heading_and_rotate(msg.orientation, msg.gaze_local)[1] for msg in session.messages]
 
 
 def _first_crossing(values, level):
