@@ -70,19 +70,24 @@ def heading_from_orientation(q) -> float:
     return heading
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AgentState:
-    """Planar pose (x, y, heading). Heading is wrapped to (-pi, pi] on construction."""
+    """Planar pose (x, y, heading). Heading is wrapped to (-pi, pi] on construction.
+
+    Built for every aligned frame and predicted step, so the check is one
+    isfinite per field, not a sum as in ``protocol``: a sum of numpy scalars
+    warns on overflow, and a sum after float() would accept numeric strings.
+    """
 
     x: float
     y: float
     theta: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "theta"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValidationError(f"AgentState.{name} must be finite, got {val!r}")
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+    def __init__(self, x, y, theta):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
+            for name, val in (("x", x), ("y", y), ("theta", theta)):
+                if not math.isfinite(val):
+                    raise ValidationError(f"AgentState.{name} must be finite, got {val!r}")
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
+        object.__setattr__(self, "theta", wrap_angle(float(theta)))

@@ -3,7 +3,9 @@
 Both predictor families implement one batched core, ``forecast(pos, theta,
 gaze)``: observed positions (..., T, 2), headings (..., T) and gaze xy
 (..., T, 2) with any leading axes map to world-frame future positions
-(..., horizon, 2). ``predict`` and ``sample`` serve one window on top of it.
+(..., horizon, 2). ``predict`` and ``sample`` serve one window on top of it,
+taking each predicted step's position and heading from the forecast array:
+the heading is the course of the step, carried over steps that stand still.
 
 - ConstantVelocityPredictor: extrapolates the mean velocity of the last few
   observed frames. Sanity floor for the displacement metrics.
@@ -75,7 +77,12 @@ def window_arrays(windows, config: FeatureConfig, future: bool = False):
 def _body_rotation(theta_ref) -> np.ndarray:
     """Rotation matrices (..., 2, 2) by the angles ``theta_ref`` (...)."""
     c, s = np.cos(theta_ref), np.sin(theta_ref)
-    return np.stack([c, -s, s, c], -1).reshape(np.shape(theta_ref) + (2, 2))
+    rot = np.empty(np.shape(theta_ref) + (2, 2))
+    rot[..., 0, 0] = c
+    rot[..., 0, 1] = -s
+    rot[..., 1, 0] = s
+    rot[..., 1, 1] = c
+    return rot
 
 
 def _rotate(xy: np.ndarray, theta) -> np.ndarray:
@@ -111,7 +118,10 @@ def _features(pos, theta, gaze, config: FeatureConfig) -> np.ndarray:
         # Gaze pointing straight up/down has no yaw; fall back to the head.
         gaze_yaw = np.where(np.hypot(gx, gy) < 1e-6, theta, np.arctan2(gy, gx))
         cols += [wrap_angle(theta - course), wrap_angle(gaze_yaw - course)]
-    feats = np.stack(np.broadcast_arrays(*cols), axis=-1)
+    # theta may have fewer leading axes than pos (one window, many jitters).
+    feats = np.empty(np.broadcast_shapes(*(col.shape for col in cols)) + (config.channels,))
+    for i, col in enumerate(cols):
+        feats[..., i] = col
     return feats.reshape(feats.shape[:-2] + (-1,))
 
 
@@ -148,10 +158,19 @@ def ensemble_jitter(seed, k: int, sigma: float, obs: int) -> np.ndarray:
 
 
 def _states(xy: np.ndarray, origin: np.ndarray, theta_ref) -> list[AgentState]:
-    """AgentStates along predicted positions (H, 2), headed along the finite
-    differences from ``origin``, the last observed position."""
-    headings = _travel_heading(theta_ref, np.diff(xy, axis=0, prepend=origin[None]))
-    return [AgentState(x, y, t) for x, y, t in zip(*xy.T.tolist(), headings.tolist())]
+    """AgentStates along predicted positions (H, 2), headed as _travel_heading
+    heads the steps from ``origin``, the last observed position. The courses
+    come from one numpy arctan2 call: math.atan2 can differ in the last bit."""
+    dp = np.diff(xy, axis=0, prepend=origin[None])
+    course = np.arctan2(dp[:, 1], dp[:, 0]).tolist()
+    moving = (np.hypot(dp[:, 0], dp[:, 1]) >= 1e-9).tolist()
+    heading = float(theta_ref)
+    states = []
+    for x, y, c, m in zip(*xy.T.tolist(), course, moving):
+        if m:
+            heading = c
+        states.append(AgentState(x, y, heading))
+    return states
 
 
 class _Forecaster:
@@ -215,7 +234,8 @@ class RidgeModel(_Forecaster):
             raise ValidationError(f"weights shape {self.weights.shape} != (kept, 2 * horizon)")
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("model weights contain non-finite values")
-        if np.any(self.std[self.kept] <= 0):
+        self._kept_std = self.std[self.kept]
+        if np.any(self._kept_std <= 0):
             raise ValidationError("kept feature dimensions must have positive std")
 
     @property
@@ -224,7 +244,7 @@ class RidgeModel(_Forecaster):
 
     def forecast(self, pos, theta, gaze=None) -> np.ndarray:
         feats = _features(pos, theta, gaze, self.feature_config)[..., self.kept]
-        feats /= self.std[self.kept]
+        feats /= self._kept_std
         rel = (feats @ self.weights).reshape(feats.shape[:-1] + (self.horizon, 2))
         return pos[..., -1, None, :] + _rotate(rel, theta[..., -1])
 

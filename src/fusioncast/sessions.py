@@ -131,7 +131,8 @@ class GridAligner:
     grid (GRID_PERIOD_US apart) starting at the first message.
 
     Messages are pushed in timestamp order, at most MAX_GAP_US apart; any
-    other message raises OrderingError and leaves the aligner as it was.
+    other message raises OrderingError and leaves the aligner as it was, and
+    so does any message after finish() (with ValueError).
     Each grid point takes the nearest message within GRID_TOLERANCE_US (the
     earlier one on ties), or becomes a gap. A grid point is emitted once a
     message at or past grid_ts + tolerance has arrived, so no later message
@@ -156,6 +157,9 @@ class GridAligner:
         self._finished = False
 
     def push_message(self, msg) -> list[AlignedFrame]:
+        if self._finished:
+            raise ValueError(f"{self.agent_kind} aligner already finished; "
+                             f"it takes no more messages, got {msg!r}")
         if not isinstance(msg, self._sample_type):
             raise ValueError(f"{self.agent_kind} aligner takes "
                              f"{self._sample_type.__name__} messages, got {msg!r}")

@@ -4,6 +4,9 @@ On the benchmark's experiment corpus (10 humans x 40 s, session split
 (0.6, 0.2, 0.2), ridge lam 1, ensembles of K = 20), the test-set ADE must
 keep the order gaze ridge < pose ridge < constant velocity, and ADE, FDE and
 KDE-NLL must equal the values recorded in bench/reference_experiment.json.
+
+Robots are scored the same way on their own corpus (10 robots x 40 s, the
+same split and lam, pose only): the ridge must beat constant velocity.
 """
 
 import json
@@ -46,3 +49,17 @@ def test_gaze_beats_pose_beats_cv_and_matches_reference(seed):
     for name, expected in reference["reports"][str(seed)].items():
         for key in ("ade", "fde", "kde_nll"):
             assert getattr(reports[name], key) == pytest.approx(expected[key], rel=RTOL, abs=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_robot_ridge_beats_cv(seed):
+    sessions = generate_corpus(CorpusConfig(n_human=0, n_robot=10, duration_s=40.0, seed=seed))
+    frames = {s.session_id: resample(s).frames for s in sessions}
+    split = split_sessions(sorted(frames), (0.6, 0.2, 0.2), seed)
+    config = FeatureConfig.ROBOT_POSE_ONLY
+    train = [w for sid in split.train for w in segment(frames[sid], sid, config)]
+    test = [w for sid in split.test for w in segment(frames[sid], sid, config)]
+    assert train and test
+    ridge = evaluate(fit_ridge(train, config, lam=1.0), test, config, k=20, seed=seed)
+    cv = evaluate(ConstantVelocityPredictor(config), test, config, k=20, seed=seed)
+    assert ridge.ade < cv.ade

@@ -1,21 +1,26 @@
 """Feature extraction, ridge fitting, prediction, and ensembles."""
 
+import functools
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from fusioncast.errors import ConfigError
+from fusioncast import protocol
+from fusioncast.errors import ConfigError, ValidationError
 from fusioncast.geometry import AgentState, wrap_angle
 from fusioncast.metrics import ade, fde
 from fusioncast.predictors import (
     ConstantVelocityPredictor,
     RidgeModel,
+    ensemble_jitter,
     extract_features,
     extract_targets,
     fit_ridge,
     load_model,
     save_model,
+    window_arrays,
 )
 from fusioncast.windows import FeatureConfig, TrajectoryWindow
 
@@ -310,6 +315,112 @@ class TestPredict:
                           FeatureConfig.POSE_ONLY, lam=1e-2)
         with pytest.raises(ConfigError):
             model.predict(window)
+
+
+def _old_travel_heading(initial, dp):
+    """The batched course of the step headings that predict used, kept as the
+    oracle of its per-step loop."""
+    start = np.broadcast_to(np.asarray(initial)[..., None], dp.shape[:-2] + (1,))
+    values = np.concatenate([start, np.arctan2(dp[..., 1], dp[..., 0])], axis=-1)
+    moving = np.hypot(dp[..., 0], dp[..., 1]) >= 1e-9
+    last = np.maximum.accumulate(np.where(moving, np.arange(1, dp.shape[-2] + 1), 0), axis=-1)
+    return np.take_along_axis(values, last, axis=-1)
+
+
+def _old_states(xy, origin, theta_ref):
+    headings = _old_travel_heading(theta_ref, np.diff(xy, axis=0, prepend=origin[None]))
+    return [AgentState(x, y, t) for x, y, t in zip(*xy.T.tolist(), headings.tolist())]
+
+
+def _bits(states):
+    return [struct.pack("<3d", s.x, s.y, s.theta) for s in states]
+
+
+def _carry_model(config):
+    """A ridge model whose forecast stands still for the first 5 steps (the
+    heading carries the last observed one), moves for 10, and then stands
+    still again (the heading carries the last step's course)."""
+    dim = 20 * config.channels
+    steps = np.clip(np.arange(40) - 4, 0, 10)[:, None] * np.array([0.03, 0.02])
+    weights = np.ones((dim, 1)) / dim * steps.reshape(1, -1)
+    return RidgeModel(feature_config=config, lam=1.0, mean=np.zeros(dim), std=np.ones(dim),
+                      kept=np.ones(dim, dtype=bool), weights=weights, obs_frames=20, horizon=40)
+
+
+@functools.cache
+def _heading_cases():
+    rng = np.random.default_rng(37)
+    gaze_windows = [_random_walk_window(rng, FeatureConfig.POSE_HEAD_GAZE) for _ in range(130)]
+    pose_windows = [_unicycle_window(omega=float(rng.uniform(-0.5, 0.5)),
+                                     theta0=float(rng.uniform(-3, 3))) for _ in range(90)]
+    still = _unicycle_window(v=0.0, theta0=2.5)
+    return {
+        "ridge_gaze": (fit_ridge(gaze_windows, FeatureConfig.POSE_HEAD_GAZE, lam=1.0), gaze_windows[0]),
+        "ridge_pose": (fit_ridge(pose_windows, FeatureConfig.POSE_ONLY, lam=1e-3), pose_windows[1]),
+        "cv": (ConstantVelocityPredictor(FeatureConfig.POSE_ONLY), pose_windows[2]),
+        "cv_stationary": (ConstantVelocityPredictor(FeatureConfig.POSE_ONLY), still),
+        "ridge_carry": (_carry_model(FeatureConfig.POSE_ONLY), pose_windows[3]),
+    }
+
+
+class TestPredictHeadings:
+    @pytest.mark.parametrize("case", ["ridge_gaze", "ridge_pose", "cv", "cv_stationary", "ridge_carry"])
+    def test_predict_matches_numpy_oracle(self, case):
+        model, window = _heading_cases()[case]
+        pos, theta, gaze, _ = window_arrays([window], model.feature_config)
+        xy = model.forecast(pos, theta, gaze)[0]
+        moving = np.hypot(*np.diff(xy, axis=0, prepend=pos[0, -1][None]).T) >= 1e-9
+        if case == "cv_stationary":
+            assert not moving.any()
+        elif case == "ridge_carry":
+            assert moving.any() and not moving.all() and not moving[0]
+        got = model.predict(window)
+        assert _bits(got) == _bits(_old_states(xy, pos[0, -1], theta[0, -1]))
+        if case == "cv_stationary":
+            assert all(s.theta == window.observed[-1].state.theta for s in got)
+
+    @pytest.mark.parametrize("case", ["ridge_gaze", "cv", "cv_stationary", "ridge_carry"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_sample_matches_numpy_oracle(self, case, sigma):
+        model, window = _heading_cases()[case]
+        pos, theta, gaze, _ = window_arrays([window], model.feature_config)
+        jittered = pos[0] + ensemble_jitter(3, 4, sigma, pos.shape[1])
+        members = model.forecast(jittered, theta, gaze)
+        want = [_bits(_old_states(xy, p[-1], theta[0, -1])) for xy, p in zip(members, jittered)]
+        assert [_bits(m) for m in model.sample(window, k=4, sigma=sigma, seed=3)] == want
+
+
+class TestPredictionFrameCost:
+    """One clean prediction frame (predict -> Prediction -> encode) never
+    reaches the per-state fallback; a NaN state does, and raises as before."""
+
+    def _frame(self, monkeypatch, corrupt=None):
+        calls = []
+        check = protocol._check_finite_tuple
+
+        def counting(values, n, what):
+            if what == "prediction state":
+                calls.append(values)
+            return check(values, n, what)
+
+        monkeypatch.setattr(protocol, "_check_finite_tuple", counting)
+        model, window = _heading_cases()["ridge_gaze"]
+        states = [(s.x, s.y, s.theta) for s in model.predict(window)]
+        if corrupt is not None:
+            states[corrupt] = (math.nan, 0.0, 0.0)
+        try:
+            return protocol.encode(protocol.Prediction(1, 2, tuple(states))), calls
+        except ValidationError as exc:
+            return exc, calls
+
+    def test_clean_frame_skips_fallback(self, monkeypatch):
+        data, calls = self._frame(monkeypatch)
+        assert isinstance(data, bytes) and calls == []
+
+    def test_nan_state_reaches_fallback(self, monkeypatch):
+        exc, calls = self._frame(monkeypatch, corrupt=7)
+        assert str(exc) == "prediction state has non-finite component nan"
+        assert len(calls) == 8
 
 
 class TestEnsemble:

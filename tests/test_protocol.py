@@ -280,6 +280,116 @@ class TestFastValidation:
         assert min(rejected.values()) > 3000 and min(accepted.values()) > 3000
 
 
+    def test_prediction_matches_per_state_oracle(self):
+        import numpy as np
+
+        rng = np.random.default_rng(131)
+        outcomes = {"accepted": 0, "rejected": 0}
+        for states in _prediction_cases(rng):
+            want = _prediction_outcome(_old_prediction_states, states)
+            assert _prediction_outcome(lambda s: Prediction(5, 6, s).states, states) == want, states
+            # encode re-runs the same validation on a message whose states were swapped in.
+            msg = Prediction(5, 6, ())
+            object.__setattr__(msg, "states", states)
+            if isinstance(want[0], tuple):
+                # The frame bytes, or the frame-length error of 65535 states.
+                expected = _prediction_outcome(
+                    encode, Prediction(5, 6, _old_prediction_states(states)))
+                outcomes["accepted"] += 1
+            else:
+                expected = want
+                outcomes["rejected"] += 1
+            assert _prediction_outcome(encode, msg) == expected, states
+        assert min(outcomes.values()) > 1000
+
+
+def _old_prediction_states(states):
+    """The states as the per-state Prediction.__post_init__ that the one-pass
+    fast path replaced validated them, kept as its oracle."""
+    states = tuple(_old_check_finite_tuple(s, 3, "prediction state") for s in states)
+    protocol._check_uint(len(states), 16, "horizon_count")
+    for _, _, theta in states:
+        if not (-math.pi < theta <= math.pi):
+            raise ValidationError(f"prediction theta {theta!r} outside (-pi, pi]")
+    return states
+
+
+def _prediction_outcome(make, arg):
+    """The bits of validated states, an encoded frame, or the type and text of
+    what was raised."""
+    try:
+        out = make(arg)
+    except Exception as exc:  # noqa: BLE001 - the oracle's exceptions are compared too
+        return type(exc), str(exc)
+    if isinstance(out, bytes):
+        return out, len(out)
+    assert type(out) is tuple and all(type(s) is tuple for s in out)
+    return tuple(tuple(struct.pack("<d", v) for v in s) for s in out), len(out)
+
+
+def _prediction_cases(rng):
+    """Prediction states; each batch targets one edge of the fast path."""
+    import numpy as np
+
+    specials = [math.nan, math.inf, -math.inf]
+
+    def clean(count):
+        xy = rng.normal(scale=10.0 ** rng.integers(-300, 300), size=(count, 2))
+        theta = rng.uniform(-math.pi, math.pi, size=(count, 1))
+        return [list(row) for row in np.hstack([xy, theta])]
+
+    cases = []
+    for _ in range(600):
+        count = int(rng.integers(1, 45))
+        cases.append(tuple(map(tuple, clean(count))))
+        # NaN and infinities anywhere, one or two of them (inf beside -inf included).
+        rows = clean(count)
+        for _ in range(int(rng.integers(1, 3))):
+            rows[int(rng.integers(0, count))][int(rng.integers(0, 3))] = specials[int(rng.integers(0, 3))]
+        cases.append(tuple(map(tuple, rows)))
+        # Finite states whose sum over all states overflows.
+        rows = clean(count + 1)
+        for i in rng.choice(count + 1, size=2, replace=count == 0):
+            rows[int(i)][int(rng.integers(0, 2))] = float(rng.choice([-1.0, 1.0])) * 1e308
+        cases.append(tuple(map(tuple, rows)))
+        # A 2- or 4-element state, alone or before or after a NaN.
+        rows = clean(count + 1)
+        i = int(rng.integers(0, count + 1))
+        rows[i] = rows[i][:2] if rng.integers(0, 2) else rows[i] + [0.0]
+        if rng.integers(0, 2):
+            rows[int(rng.integers(0, count + 1))][0] = math.nan
+        cases.append(tuple(map(tuple, rows)))
+        # Theta at and beyond the ends of (-pi, pi], alone or with a NaN elsewhere.
+        rows = clean(count)
+        rows[int(rng.integers(0, count))][2] = float(rng.choice([-math.pi, math.pi, 4.0, -4.0]))
+        if rng.integers(0, 2):
+            rows[int(rng.integers(0, count))][int(rng.integers(0, 2))] = math.nan
+        cases.append(tuple(map(tuple, rows)))
+    cases += [
+        (),
+        ((math.inf, -math.inf, 0.0),),
+        ((math.inf, 0.0, 0.0), (-math.inf, 0.0, 0.0)),
+        ((1e308, 1e308, 0.0),),
+        ((1, 2, 3),),
+        ((True, False, True), (0, 0, 0)),
+        ((np.float32(0.5), np.float64(-0.5), np.int64(1)),),
+        tuple(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, -2.0]])),
+        [[0.0, 1.0, 2.0], [3.0, 4.0, -2.0]],
+        ((0.0, 0.0, -0.0),),
+        ((1.0, 2.0),),
+        ((1.0, 2.0, 3.0, 4.0),),
+        ((1.0, 2.0), (math.nan, 0.0, 0.0)),
+        ((0.0, 0.0, 4.0), (math.nan, 0.0, 0.0)),
+        (("x", 0.0, 0.0),),
+        (("1.5", 0.0, 0.0),),
+        ((1.0, 2.0), ("x", 0.0, 0.0)),
+        (1.0,),
+        ((0.0, 0.0, 0.0),) * 65535,
+        ((0.0, 0.0, 0.0),) * 65536,
+    ]
+    return cases
+
+
 class TestRoundTrip:
     def test_all_types_round_trip(self):
         msgs = [

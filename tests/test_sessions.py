@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -139,6 +140,22 @@ class TestTimestampBound:
             aligner.push_message(_headset(ts))
         frames = aligner.finish()
         assert [f.source_pose_ts for f in frames] == [2 * GRID_PERIOD_US]
+
+    @pytest.mark.parametrize("kind, make", [("human", _headset), ("robot", _robot)],
+                             ids=["human", "robot"])
+    def test_aligner_rejects_push_after_finish(self, kind, make):
+        aligner = GridAligner(kind)
+        aligner.push_message(make(0))
+        assert len(aligner.finish()) == 1
+
+        def snapshot():
+            return {k: list(v) if isinstance(v, deque) else v for k, v in vars(aligner).items()}
+
+        before = snapshot()
+        with pytest.raises(ValueError, match=f"^{kind} aligner already finished"):
+            aligner.push_message(make(10 * GRID_PERIOD_US))
+        assert snapshot() == before
+        assert aligner.finish() == []
 
 
 class TestResample:
