@@ -13,10 +13,6 @@ class OrderingError(ValueError):
     """A sample arrived with a timestamp not strictly after the previous one in its stream."""
 
 
-class HeadingUndefinedError(ValueError):
-    """Forward axis is within tolerance of vertical; yaw cannot be extracted."""
-
-
 class ConfigError(ValueError):
     """Incompatible feature configuration, split setup, or manifest contents."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HeadingUndefinedError, ValidationError
+from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,15 +59,6 @@ def heading_and_rotate(q, v=None) -> tuple[float | None, tuple[float, float, flo
         fy * vx + (1 - 2 * (x * x + z * z)) * vy + 2 * (y * z - w * x) * vz,
         2 * (x * z - w * y) * vx + 2 * (y * z + w * x) * vy + (1 - 2 * (x * x + y * y)) * vz,
     )
-
-
-def heading_from_orientation(q) -> float:
-    """The heading of :func:`heading_and_rotate`; raises HeadingUndefinedError
-    when the forward axis is within VERTICAL_EPS of vertical."""
-    heading, _ = heading_and_rotate(q)
-    if heading is None:
-        raise HeadingUndefinedError("forward axis is vertical; heading undefined")
-    return heading
 
 
 @dataclass(frozen=True, slots=True, init=False)

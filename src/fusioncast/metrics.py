@@ -1,9 +1,10 @@
-"""Displacement and distributional metrics, plus report aggregation.
+"""ADE, FDE and KDE-NLL of a predictor on test windows, and their report.
 
-ADE is the mean planar distance between predicted and true positions over
-the horizon; FDE is the distance at the final step. The distributional
-score fits, per horizon step, a 2-D Gaussian kernel density over an
-ensemble of predicted positions and reports the mean negative
+``evaluate`` scores every window through the predictor's batched
+``forecast``. ADE is the mean planar distance between predicted and true
+positions over the horizon; FDE is the distance at the final step. The
+distributional score fits, per horizon step, a 2-D Gaussian kernel density
+over an ensemble of predicted positions and reports the mean negative
 log-likelihood of the truth under it.
 
 KDE construction choices (recorded in every report): density is estimated
@@ -43,72 +44,17 @@ KDE_NOTES = [
 ]
 
 
-def _as_xy(traj) -> np.ndarray:
-    """(..., T, 2) positions from a list of AgentState or an array of states."""
-    arr = np.asarray([[s.x, s.y] for s in traj] if hasattr(traj[0], "x") else traj,
-                     dtype=np.float64)
-    return arr[..., :2]
-
-
-def displacement_per_step(pred, truth) -> np.ndarray:
-    p, t = _as_xy(pred), _as_xy(truth)
-    if p.shape != t.shape:
-        raise ValueError(f"trajectory length mismatch: {p.shape} vs {t.shape}")
-    return np.linalg.norm(p - t, axis=-1)
-
-
-def ade(pred, truth) -> float:
-    """Mean Euclidean displacement over the horizon (m)."""
-    return float(displacement_per_step(pred, truth).mean())
-
-
-def fde(pred, truth) -> float:
-    """Euclidean displacement at the final step (m)."""
-    return float(displacement_per_step(pred, truth)[-1])
-
-
-def kde_nll(samples, truth, bandwidth=None) -> float:
-    """Mean over horizon steps of -log density of the truth under a 2-D
-    Gaussian KDE fitted to the ensemble positions at that step.
-
-    ``samples`` is K trajectories of equal length. K = 1 requires an explicit
-    bandwidth. A fully degenerate ensemble (all members identical) falls back
-    to the bandwidth floor with a warning.
-    """
-    clouds = np.stack([_as_xy(s) for s in samples])  # (K, T, 2)
-    truth_xy = _as_xy(truth)
-    if truth_xy.shape[0] != clouds.shape[1]:
-        raise ValueError(f"truth has {truth_xy.shape[0]} steps, samples have {clouds.shape[1]}")
-    nll, degenerate = _kde_nll(clouds, truth_xy, bandwidth)
-    _warn_degenerate(degenerate, clouds.shape[1])
-    return float(nll)
-
-
-def _warn_degenerate(count: int, pairs: int) -> None:
-    if count:
-        warnings.warn(
-            f"degenerate ensemble (all members identical) at {count} of {pairs} "
-            "(window, step) pairs; bandwidth floor applied", RuntimeWarning, stacklevel=3,
-        )
-
-
-def _kde_nll(clouds: np.ndarray, truth: np.ndarray, bandwidth=None) -> tuple[np.ndarray, int]:
+def _kde_nll(clouds: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
     """KDE-NLL (...) of ensembles (..., K, T, 2) against truths (..., T, 2),
-    and the number of (window, step) pairs whose ensemble is degenerate."""
+    and the number of (window, step) pairs whose ensemble is degenerate (all
+    members identical), which take the bandwidth floor."""
     k, t_steps = clouds.shape[-3:-1]
-    if bandwidth is None and k < 2:
-        raise ValueError("K = 1 requires an explicit bandwidth")
+    if k < 2:
+        raise ValueError(f"a KDE bandwidth needs K >= 2 ensemble members, got {k}")
     pts = np.swapaxes(clouds, -3, -2)  # (..., T, K, 2)
-    degenerate = 0
-    if bandwidth is not None:
-        bw = np.broadcast_to(np.asarray(bandwidth, dtype=np.float64), (2,))
-        if np.any(bw <= 0):
-            raise ValueError(f"explicit bandwidth must be positive, got {bandwidth!r}")
-    else:
-        std = pts.std(axis=-2, ddof=1)  # (..., T, 2)
-        bw = np.maximum(std * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)
-        degenerate = int(np.count_nonzero(np.all(std == 0.0, axis=-1)))
-    bw = bw[..., None, :]
+    std = pts.std(axis=-2, ddof=1)  # (..., T, 2)
+    degenerate = int(np.count_nonzero(np.all(std == 0.0, axis=-1)))
+    bw = np.maximum(std * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)[..., None, :]
     # One C-ordered scratch array, so each step's K members sit together.
     diff = np.subtract(pts, truth[..., None, :], order="C")
     diff /= bw
@@ -169,7 +115,8 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     predictors.py; all windows are forecast in one call and the ensembles a
     block of windows at a time. Windows are reduced in index order and
     per-window ensemble seeds derive from (seed, index), so reports are
-    reproducible byte-for-byte.
+    reproducible byte-for-byte. Steps whose ensemble is degenerate take the
+    bandwidth floor, and one RuntimeWarning counts them.
     """
     windows = list(windows)
     if not windows:
@@ -177,7 +124,10 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     if predictor.feature_config is not config:
         raise ConfigError(f"predictor config {predictor.feature_config.value} != {config.value}")
     pos, theta, gaze, truth = window_arrays(windows, config, future=True)
-    steps = displacement_per_step(predictor.forecast(pos, theta, gaze), truth)  # (N, H)
+    pred = predictor.forecast(pos, theta, gaze)
+    if pred.shape != truth.shape:
+        raise ValueError(f"trajectory length mismatch: {pred.shape} vs {truth.shape}")
+    steps = np.linalg.norm(pred - truth, axis=-1)  # (N, H)
     nlls, degenerate = [], 0
     block = max(1, _MEMBERS_PER_BLOCK // max(k, 1))
     for start in range(0, len(windows), block):
@@ -189,7 +139,11 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
         nll, count = _kde_nll(ensemble, truth[part])
         nlls.append(nll)
         degenerate += count
-    _warn_degenerate(degenerate, steps.size)
+    if degenerate:
+        warnings.warn(
+            f"degenerate ensemble (all members identical) at {degenerate} of {steps.size} "
+            "(window, step) pairs; bandwidth floor applied", RuntimeWarning, stacklevel=2,
+        )
 
     curve = np.cumsum(steps, axis=0)[-1] / len(windows)
     window_ades = steps.mean(axis=1)

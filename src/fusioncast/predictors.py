@@ -3,9 +3,9 @@
 Both predictor families implement one batched core, ``forecast(pos, theta,
 gaze)``: observed positions (..., T, 2), headings (..., T) and gaze xy
 (..., T, 2) with any leading axes map to world-frame future positions
-(..., horizon, 2). ``predict`` and ``sample`` serve one window on top of it,
-taking each predicted step's position and heading from the forecast array:
-the heading is the course of the step, carried over steps that stand still.
+(..., horizon, 2). ``predict`` serves one window on top of it, taking each
+predicted step's position and heading from the forecast array: the heading is
+the course of the step, carried over steps that stand still.
 
 - ConstantVelocityPredictor: extrapolates the mean velocity of the last few
   observed frames. Sanity floor for the displacement metrics.
@@ -131,21 +131,6 @@ def _targets(pos, theta, future) -> np.ndarray:
     return _rotate(future - pos[:, -1, None], -theta[:, -1]).reshape(len(future), -1)
 
 
-def extract_features(window: TrajectoryWindow, config: FeatureConfig) -> np.ndarray:
-    """Flatten a window's observed frames into the feature vector for
-    ``config``. The window must have been built with the same configuration;
-    in particular robot windows cannot provide gaze channels."""
-    pos, theta, gaze, _ = window_arrays([window], config)
-    return _features(pos, theta, gaze, config)[0]
-
-
-def extract_targets(window: TrajectoryWindow) -> np.ndarray:
-    """Future positions relative to the observation end, in its body frame,
-    flattened to (2 * horizon,)."""
-    pos, theta, _, fut = window_arrays([window], window.feature_config, future=True)
-    return _targets(pos, theta, fut)[0]
-
-
 def ensemble_jitter(seed, k: int, sigma: float, obs: int) -> np.ndarray:
     """N(0, sigma^2) offsets (k, obs, 2) for one window's observed x/y: the
     input jitter that turns a deterministic predictor into a K-member
@@ -174,33 +159,24 @@ def _states(xy: np.ndarray, origin: np.ndarray, theta_ref) -> list[AgentState]:
 
 
 class _Forecaster:
-    """Single-window ``predict`` and ``sample`` over a subclass's batched
-    ``forecast`` and its ``feature_config``."""
+    """Single-window ``predict`` over a subclass's batched ``forecast`` and
+    its ``feature_config``."""
 
     def predict(self, window: TrajectoryWindow) -> list[AgentState]:
         pos, theta, gaze, _ = window_arrays([window], self.feature_config)
         return _states(self.forecast(pos, theta, gaze)[0], pos[0, -1], theta[0, -1])
 
-    def sample(self, window: TrajectoryWindow, k: int, sigma: float, seed=0) -> list[list[AgentState]]:
-        """K predictions from K input-jittered copies of the window; sigma = 0
-        collapses to K identical trajectories."""
-        pos, theta, gaze, _ = window_arrays([window], self.feature_config)
-        jittered = pos[0] + ensemble_jitter(seed, k, sigma, pos.shape[1])
-        members = self.forecast(jittered, theta, gaze)
-        return [_states(xy, p[-1], theta[0, -1]) for xy, p in zip(members, jittered)]
-
 
 class ConstantVelocityPredictor(_Forecaster):
     """Extrapolates the mean velocity of the last CV_TAIL frames."""
 
-    def __init__(self, feature_config: FeatureConfig, horizon: int = HORIZON_FRAMES):
+    def __init__(self, feature_config: FeatureConfig):
         self.feature_config = feature_config
-        self.horizon = horizon
 
     def forecast(self, pos, theta, gaze=None) -> np.ndarray:
         tail = min(CV_TAIL, pos.shape[-2] - 1)
         velocity = (pos[..., -1, :] - pos[..., -1 - tail, :]) / (tail * FRAME_DT)
-        steps = np.arange(1, self.horizon + 1)[:, None] * FRAME_DT
+        steps = np.arange(1, HORIZON_FRAMES + 1)[:, None] * FRAME_DT
         return pos[..., -1, None, :] + velocity[..., None, :] * steps
 
 

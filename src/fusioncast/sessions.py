@@ -270,15 +270,11 @@ def resample(session: Session) -> ResampleResult:
     return ResampleResult(frames, aligner.gap_frames, aligner.heading_carries, note)
 
 
-def session_start_message(session: Session) -> SessionStart:
-    return SessionStart(session.session_id, session.agent_kind, session.label)
-
-
 def save_session(session: Session, path) -> None:
     """Persist a session as wire frames: SessionStart, telemetry, SessionEnd."""
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(protocol.encode(session_start_message(session)))
+        fh.write(protocol.encode(SessionStart(session.session_id, session.agent_kind, session.label)))
         for msg in session.messages:
             fh.write(protocol.encode(msg))
         fh.write(protocol.encode(SessionEnd(session.session_id, complete=session.complete)))

@@ -157,7 +157,7 @@ def load_map(path) -> CorridorMap:
     try:
         raw = json.loads(path.read_text())
         return CorridorMap.from_dict(raw)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise GenerationError(f"{path}: invalid map file: {exc}") from exc
 
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +24,7 @@ class FeatureConfig(str, Enum):
 
     @property
     def channels(self) -> int:
-        """Feature channels per frame (see predictors.extract_features)."""
+        """Feature channels per frame (see the predictors module docstring)."""
         return 6 if self is FeatureConfig.POSE_HEAD_GAZE else 4
 
     @property
@@ -47,10 +47,6 @@ class TrajectoryWindow:
         if not self.observed:
             raise ValueError("window must contain observed frames")
 
-    @property
-    def frames(self) -> tuple[AlignedFrame, ...]:
-        return self.observed + self.future
-
 
 def _usable(frame: AlignedFrame, need_gaze: bool) -> bool:
     if frame.is_gap or frame.state is None:
@@ -60,12 +56,6 @@ def _usable(frame: AlignedFrame, need_gaze: bool) -> bool:
     return True
 
 
-def _strip_gaze(frame: AlignedFrame) -> AlignedFrame:
-    if frame.gaze_world is None:
-        return frame
-    return dataclasses.replace(frame, gaze_world=None)
-
-
 def segment(frames, session_id: int, feature_config: FeatureConfig,
             horizon: int = HORIZON_FRAMES) -> list[TrajectoryWindow]:
     """Cut frames aligned on the fixed 10 Hz grid into windows of OBS_FRAMES
@@ -73,14 +63,15 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
     inside each gap-free run. A ``horizon`` below HORIZON_FRAMES cuts windows
     whose future is only partly known, down to one frame.
 
-    Pose-only windows get their gaze channel removed at construction, so a
-    predictor handed one structurally cannot read gaze. The frames are
-    stripped once, before cutting, so overlapping windows share them.
+    Windows share the aligned frames, gaze included. The guard against gaze
+    reaching a pose-only forecast is predictors.window_arrays: it stacks gaze
+    only for a configuration that uses it, and only from windows cut for that
+    configuration, so a pose-only predictor is handed no gaze array at all.
     """
     if horizon < 1:
         raise ValueError(f"window horizon must be >= 1 frame, got {horizon}")
     need_gaze = feature_config.uses_gaze
-    frames = list(frames) if need_gaze else [_strip_gaze(f) for f in frames]
+    frames = list(frames)
     span = OBS_FRAMES + horizon
     windows: list[TrajectoryWindow] = []
 
@@ -95,7 +86,6 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
             for k in range(count):
                 start = run_start + k * DEFAULT_STRIDE
                 chunk = frames[start:start + span]
-                _check_contiguous(chunk)
                 windows.append(TrajectoryWindow(
                     session_id=session_id,
                     start_index=start,
@@ -105,13 +95,6 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
                 ))
             run_start = None
     return windows
-
-
-def _check_contiguous(chunk) -> None:
-    step = chunk[1].timestamp_us - chunk[0].timestamp_us
-    for a, b in zip(chunk, chunk[1:]):
-        if b.timestamp_us - a.timestamp_us != step:
-            raise ValueError("window frames are not an arithmetic timestamp sequence")
 
 
 @dataclass(frozen=True)
@@ -162,6 +145,12 @@ def split_sessions(session_ids, ratios: tuple[float, float, float], seed: int) -
         raise ConfigError("duplicate session ids")
     if len(ids) < 3:
         raise ConfigError(f"need at least 3 sessions to split, got {len(ids)}")
+    try:
+        three_finite = len(ratios) == 3 and all(math.isfinite(r) for r in ratios)
+    except TypeError:
+        three_finite = False
+    if not three_finite:
+        raise ConfigError(f"split ratios must be three finite numbers, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios!r}")
     if any(r < 0 for r in ratios):

@@ -7,12 +7,11 @@ import struct
 import numpy as np
 import pytest
 
-from fusioncast.errors import HeadingUndefinedError, ValidationError
+from fusioncast.errors import ValidationError
 from fusioncast.geometry import (
     VERTICAL_EPS,
     AgentState,
     heading_and_rotate,
-    heading_from_orientation,
     quaternion_from_yaw,
     wrap_angle,
 )
@@ -224,10 +223,10 @@ class TestAlignerRotation:
 
 class TestHeading:
     def test_identity_zero(self):
-        assert heading_from_orientation((1, 0, 0, 0)) == 0.0
+        assert heading_and_rotate((1, 0, 0, 0))[0] == 0.0
 
     def test_pure_yaw_90(self):
-        assert heading_from_orientation(quaternion_from_yaw(math.pi / 2)) == pytest.approx(
+        assert heading_and_rotate(quaternion_from_yaw(math.pi / 2))[0] == pytest.approx(
             math.pi / 2
         )
 
@@ -243,7 +242,7 @@ class TestHeading:
         )
         fx, fy = (rot_oracle @ np.array([1.0, 0, 0]))[:2]
         assert math.atan2(fy, fx) == pytest.approx(math.pi / 6, abs=1e-12)
-        assert heading_from_orientation(q) == pytest.approx(math.pi / 6, abs=1e-9)
+        assert heading_and_rotate(q)[0] == pytest.approx(math.pi / 6, abs=1e-9)
 
     def test_invariant_under_extra_pitch_and_roll(self):
         rng = np.random.default_rng(23)
@@ -254,12 +253,11 @@ class TestHeading:
             q = _quat_from_axis_angle([0, 0, 1], yaw)
             q = _quaternion_multiply(q, _quat_from_axis_angle([0, 1, 0], pitch))
             q = _quaternion_multiply(q, _quat_from_axis_angle([1, 0, 0], roll))
-            assert heading_from_orientation(q) == pytest.approx(wrap_angle(yaw), abs=1e-9)
+            assert heading_and_rotate(q)[0] == pytest.approx(wrap_angle(yaw), abs=1e-9)
 
-    def test_vertical_forward_raises(self):
+    def test_vertical_forward_has_no_heading(self):
         straight_up = _quat_from_axis_angle([0, 1, 0], -math.pi / 2)
-        with pytest.raises(HeadingUndefinedError):
-            heading_from_orientation(straight_up)
+        assert heading_and_rotate(straight_up)[0] is None
 
 
 class TestAgentState:

@@ -1,25 +1,37 @@
-"""KDE-NLL and batched evaluation against a per-window reference loop."""
+"""Batched evaluation against a per-window reference written in plain loops."""
 
 import math
+import statistics
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fusioncast.errors import ConfigError
 from fusioncast.geometry import AgentState
-from fusioncast.metrics import KDE_BANDWIDTH_FLOOR, displacement_per_step, evaluate, kde_nll
-from fusioncast.predictors import ConstantVelocityPredictor, fit_ridge
-from fusioncast.sessions import resample
+from fusioncast.metrics import KDE_BANDWIDTH_FLOOR, KDE_DENSITY_FLOOR, SCOTT_EXPONENT, evaluate
+from fusioncast.predictors import (
+    ConstantVelocityPredictor,
+    RidgeModel,
+    ensemble_jitter,
+    fit_ridge,
+    window_arrays,
+)
+from fusioncast.sessions import AlignedFrame, resample
 from fusioncast.simulate import CorpusConfig, generate_corpus
-from fusioncast.windows import FeatureConfig, segment
+from fusioncast.windows import HORIZON_FRAMES, OBS_FRAMES, FeatureConfig, TrajectoryWindow, segment
 
 CONFIGS = (FeatureConfig.POSE_ONLY, FeatureConfig.POSE_HEAD_GAZE)
 RTOL = 1e-12
 
 
-def _line(x0, y0, n=6, dx=0.1):
-    return [AgentState(x0 + dx * i, y0, 0.0) for i in range(n)]
+def _line_window(y_future, dx=0.1):
+    """A walk along +x at a constant step whose future is shifted by ``y_future``."""
+    frames = [AlignedFrame(i * 100_000, AgentState(dx * i, y_future * (i >= OBS_FRAMES), 0.0))
+              for i in range(OBS_FRAMES + HORIZON_FRAMES)]
+    return TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY, tuple(frames[:OBS_FRAMES]),
+                            tuple(frames[OBS_FRAMES:]))
 
 
 def _gaussian_nll(truth, centre, bw):
@@ -31,26 +43,23 @@ def _gaussian_nll(truth, centre, bw):
 
 class TestKdeNll:
     def test_single_member_needs_bandwidth(self):
-        with pytest.raises(ValueError):
-            kde_nll([_line(0.0, 0.0)], _line(0.0, 0.1))
-
-    @pytest.mark.parametrize("bandwidth", [0.0, -0.2, (0.3, 0.0), (-1.0, 0.5)])
-    def test_non_positive_bandwidth_rejected(self, bandwidth):
-        with pytest.raises(ValueError):
-            kde_nll([_line(0.0, 0.0), _line(0.0, 0.2)], _line(0.0, 0.1), bandwidth=bandwidth)
-
-    def test_single_member_matches_closed_form(self):
-        member, truth, bw = _line(1.0, 2.0), _line(1.3, 1.6, dx=0.12), (0.3, 0.5)
-        expected = np.mean([_gaussian_nll(t, m, bw) for t, m in zip(truth, member)])
-        assert kde_nll([member], truth, bandwidth=bw) == pytest.approx(expected, rel=RTOL)
+        # Scott's rule takes the bandwidth from the members' spread.
+        with pytest.raises(ValueError, match="bandwidth needs K >= 2"):
+            evaluate(ConstantVelocityPredictor(FeatureConfig.POSE_ONLY), [_line_window(0.0)],
+                     FeatureConfig.POSE_ONLY, k=1)
 
     def test_degenerate_ensemble_warns_and_uses_floor(self):
-        member, truth = _line(0.0, 0.0), _line(0.0, 0.002)
+        # sigma = 0 gives K identical members, so every step takes the floor.
+        windows = [_line_window(0.002), _line_window(-0.001, dx=0.12)]
+        cv = ConstantVelocityPredictor(FeatureConfig.POSE_ONLY)
         floor = (KDE_BANDWIDTH_FLOOR, KDE_BANDWIDTH_FLOOR)
-        expected = np.mean([_gaussian_nll(t, m, floor) for t, m in zip(truth, member)])
-        with pytest.warns(RuntimeWarning, match="6 of 6"):
-            value = kde_nll([member] * 4, truth)
-        assert value == pytest.approx(expected, rel=RTOL)
+        expected = np.mean([
+            np.mean([_gaussian_nll(f.state, s, floor) for f, s in zip(w.future, cv.predict(w))])
+            for w in windows
+        ])
+        with pytest.warns(RuntimeWarning, match="80 of 80"):
+            report = evaluate(cv, windows, FeatureConfig.POSE_ONLY, k=4, sigma=0.0)
+        assert report.kde_nll == pytest.approx(expected, rel=RTOL)
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +75,36 @@ def _predictors(config, windows):
             "ridge": fit_ridge(windows, config, lam=1.0)}
 
 
+def _kde_nll_loop(members, truth):
+    """Mean over steps of -log KDE density of the truth, one step and one
+    member at a time: members are K lists of (x, y), truth one list."""
+    k, total = len(members), 0.0
+    for step, (tx, ty) in enumerate(truth):
+        xs = [m[step][0] for m in members]
+        ys = [m[step][1] for m in members]
+        bx = max(statistics.stdev(xs) * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)
+        by = max(statistics.stdev(ys) * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)
+        density = 0.0
+        for x, y in zip(xs, ys):
+            u, v = (x - tx) / bx, (y - ty) / by
+            density += math.exp(-0.5 * (u * u + v * v)) / (2.0 * math.pi * bx * by)
+        total -= math.log(max(density / k, KDE_DENSITY_FLOOR))
+    return total / len(truth)
+
+
 def _reference_evaluate(predictor, windows, k, sigma, seed):
-    """Per-window predict / sample / kde_nll, reduced in window order."""
+    """One window at a time: its forecast, its K jittered forecasts and their
+    scores in plain loops, reduced in window order."""
     curve_sum, window_ades, nlls = None, [], []
     for idx, window in enumerate(windows):
-        truth = [f.state for f in window.future]
-        steps = displacement_per_step(predictor.predict(window), truth)
+        pos, theta, gaze, future = window_arrays([window], predictor.feature_config, future=True)
+        truth = future[0].tolist()
+        pred = predictor.forecast(pos, theta, gaze)[0].tolist()
+        steps = np.array([math.hypot(px - tx, py - ty) for (px, py), (tx, ty) in zip(pred, truth)])
         curve_sum = steps if curve_sum is None else curve_sum + steps
         window_ades.append(float(steps.mean()))
-        nlls.append(kde_nll(predictor.sample(window, k, sigma, seed=(seed, idx)), truth))
+        jittered = pos[0] + ensemble_jitter((seed, idx), k, sigma, pos.shape[1])
+        nlls.append(_kde_nll_loop(predictor.forecast(jittered, theta, gaze).tolist(), truth))
     window_ades = np.array(window_ades)
     curve = curve_sum / len(windows)
     return {"ade": window_ades.mean(), "fde": curve[-1], "ade_variance": window_ades.var(),
@@ -114,6 +144,27 @@ class TestEvaluate:
         assert a == b
         assert a != evaluate(model, windows, config, k=6, seed=10).to_json()
 
+    def test_gaze_cannot_leak_into_pose_only_forecasts(self, corpus_windows):
+        # Every frame's gaze replaced by a random unit vector: pose-only fits
+        # and reports must not change by a single bit.
+        config = FeatureConfig.POSE_ONLY
+        windows = corpus_windows[config]
+        rng = np.random.default_rng(8)
+
+        def scramble(frames):
+            gaze = rng.normal(size=(len(frames), 3))
+            gaze /= np.linalg.norm(gaze, axis=1, keepdims=True)
+            return tuple(replace(f, gaze_world=tuple(g)) for f, g in zip(frames, gaze.tolist()))
+
+        scrambled = [replace(w, observed=scramble(w.observed), future=scramble(w.future))
+                     for w in windows]
+
+        def reports(ws):
+            predictors = (ConstantVelocityPredictor(config), fit_ridge(ws, config, lam=1.0))
+            return [evaluate(p, ws, config, k=8, seed=2).to_json() for p in predictors]
+
+        assert reports(scrambled) == reports(windows)
+
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
             evaluate(ConstantVelocityPredictor(FeatureConfig.POSE_ONLY), [],
@@ -129,8 +180,12 @@ class TestEvaluate:
 
     def test_rejects_horizon_mismatch(self, corpus_windows):
         config = FeatureConfig.POSE_ONLY
+        dim = OBS_FRAMES * config.channels
+        short = RidgeModel(feature_config=config, lam=1.0, mean=np.zeros(dim), std=np.ones(dim),
+                           kept=np.ones(dim, dtype=bool), weights=np.zeros((dim, 78)),
+                           obs_frames=OBS_FRAMES, horizon=HORIZON_FRAMES - 1)
         with pytest.raises(ValueError, match="length mismatch"):
-            evaluate(ConstantVelocityPredictor(config, horizon=39), corpus_windows[config], config)
+            evaluate(short, corpus_windows[config], config)
 
     @pytest.mark.parametrize("k, sigma", [(0, 0.05), (1, 0.05), (4, -0.1)])
     def test_rejects_bad_ensemble(self, corpus_windows, k, sigma):

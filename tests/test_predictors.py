@@ -3,6 +3,7 @@
 import functools
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ import pytest
 from fusioncast import protocol
 from fusioncast.errors import ConfigError, ValidationError
 from fusioncast.geometry import AgentState, wrap_angle
-from fusioncast.metrics import ade, fde
+from fusioncast.metrics import evaluate
 from fusioncast.predictors import (
     ConstantVelocityPredictor,
     RidgeModel,
+    _features,
+    _targets,
     ensemble_jitter,
-    extract_features,
-    extract_targets,
     fit_ridge,
     load_model,
     save_model,
@@ -69,8 +70,6 @@ def _random_walk_window(rng, config=FeatureConfig.POSE_ONLY, n=60, session_id=1)
 
 def _rotate_window(window, phi):
     """Global SE(2) rotation of every frame (position, heading, world gaze)."""
-    from dataclasses import replace
-
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
 
     def rot_frame(f):
@@ -87,8 +86,6 @@ def _rotate_window(window, phi):
 
 
 def _translate_window(window, dx, dy):
-    from dataclasses import replace
-
     def move(f):
         return replace(f, state=AgentState(f.state.x + dx, f.state.y + dy, f.state.theta))
 
@@ -97,64 +94,65 @@ def _translate_window(window, dx, dy):
                             tuple(move(f) for f in window.future))
 
 
+def _design(windows, config=FeatureConfig.POSE_ONLY):
+    """Feature rows (N, D) and body-frame targets (N, 2 * H) that fit_ridge solves for."""
+    pos, theta, gaze, future = window_arrays(windows, config, future=True)
+    return _features(pos, theta, gaze, config), _targets(pos, theta, future)
+
+
+def _cv_report(window):
+    return evaluate(ConstantVelocityPredictor(FeatureConfig.POSE_ONLY), [window],
+                    FeatureConfig.POSE_ONLY, k=2)
+
+
 class TestConstantVelocity:
     def test_stationary_repeats_last_state(self):
         frames = _frames_from_xy([(2.0, 3.0)] * 60, [0.5] * 60)
         window = TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY,
                                   tuple(frames[:20]), tuple(frames[20:]))
         pred = ConstantVelocityPredictor(FeatureConfig.POSE_ONLY).predict(window)
-        truth = [f.state for f in window.future]
-        assert ade(pred, truth) == 0.0
+        assert _cv_report(window).ade == 0.0
         assert all(s.x == 2.0 and s.y == 3.0 and s.theta == 0.5 for s in pred)
 
     def test_uniform_straight_motion_exact(self):
-        window = _unicycle_window(omega=0.0, v=1.0)
-        pred = ConstantVelocityPredictor(FeatureConfig.POSE_ONLY).predict(window)
-        truth = [f.state for f in window.future]
-        assert ade(pred, truth) < 1e-9
+        assert _cv_report(_unicycle_window(omega=0.0, v=1.0)).ade < 1e-9
 
     def test_fde_grows_with_turn_angle(self):
-        # Oracle: direct FDE computation per swept yaw rate.
-        cv = ConstantVelocityPredictor(FeatureConfig.POSE_ONLY)
-        fdes = []
-        for omega in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9):
-            window = _unicycle_window(omega=omega)
-            fdes.append(fde(cv.predict(window), [f.state for f in window.future]))
+        fdes = [_cv_report(_unicycle_window(omega=omega)).fde
+                for omega in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9)]
         assert all(b > a for a, b in zip(fdes, fdes[1:]))
 
 
 class TestFeatures:
     def test_dimensionality(self):
-        assert extract_features(_unicycle_window(), FeatureConfig.POSE_ONLY).shape == (80,)
+        assert _design([_unicycle_window()])[0].shape == (1, 80)
         full = _unicycle_window(config=FeatureConfig.POSE_HEAD_GAZE)
-        assert extract_features(full, FeatureConfig.POSE_HEAD_GAZE).shape == (120,)
+        assert _design([full], FeatureConfig.POSE_HEAD_GAZE)[0].shape == (1, 120)
 
     def test_translation_invariance(self):
         window = _unicycle_window(omega=0.3, config=FeatureConfig.POSE_HEAD_GAZE)
-        feats = extract_features(window, FeatureConfig.POSE_HEAD_GAZE)
-        moved = extract_features(_translate_window(window, 10.0, -4.0),
-                                 FeatureConfig.POSE_HEAD_GAZE)
+        feats, _ = _design([window], FeatureConfig.POSE_HEAD_GAZE)
+        moved, _ = _design([_translate_window(window, 10.0, -4.0)], FeatureConfig.POSE_HEAD_GAZE)
         assert np.allclose(feats, moved, atol=1e-9)
 
     def test_rotation_invariance(self):
         # Oracle: recompute after applying the rotation to the raw frames.
         window = _unicycle_window(omega=0.4, config=FeatureConfig.POSE_HEAD_GAZE, theta0=0.7)
-        feats = extract_features(window, FeatureConfig.POSE_HEAD_GAZE)
+        feats, _ = _design([window], FeatureConfig.POSE_HEAD_GAZE)
         for phi in (math.pi / 2, 1.0, -2.2):
-            rotated = extract_features(_rotate_window(window, phi),
-                                       FeatureConfig.POSE_HEAD_GAZE)
+            rotated, _ = _design([_rotate_window(window, phi)], FeatureConfig.POSE_HEAD_GAZE)
             assert np.allclose(feats, rotated, atol=1e-9)
 
     def test_targets_rotation_invariant(self):
         window = _unicycle_window(omega=0.4, theta0=0.3)
-        targets = extract_targets(window)
-        rotated = extract_targets(_rotate_window(window, 1.3))
+        _, targets = _design([window])
+        _, rotated = _design([_rotate_window(window, 1.3)])
         assert np.allclose(targets, rotated, atol=1e-9)
 
     def test_config_mismatch_rejected(self):
         robot_window = _unicycle_window(config=FeatureConfig.ROBOT_POSE_ONLY)
         with pytest.raises(ConfigError):
-            extract_features(robot_window, FeatureConfig.POSE_HEAD_GAZE)
+            window_arrays([robot_window], FeatureConfig.POSE_HEAD_GAZE)
 
 
 class TestFitRidge:
@@ -171,14 +169,12 @@ class TestFitRidge:
     def test_recovers_known_linear_map(self):
         # Build futures so that targets are an exact linear map of the
         # normalized features, then check weight recovery at tiny lam.
-        from dataclasses import replace
-
         from fusioncast.predictors import _body_rotation
         from fusioncast.sessions import AlignedFrame
 
         rng = np.random.default_rng(42)
         bases = [_random_walk_window(rng) for _ in range(200)]
-        X = np.stack([extract_features(w, FeatureConfig.POSE_ONLY) for w in bases])
+        X = _design(bases)[0]
         std = X.std(axis=0)
         kept = std > 1e-12
         Xn = X[:, kept] / std[kept]
@@ -214,8 +210,7 @@ class TestFitRidge:
     def test_residual_decreases_with_lam(self):
         rng = np.random.default_rng(11)
         windows = self._training_windows(rng, n=100)
-        X = np.stack([extract_features(w, FeatureConfig.POSE_ONLY) for w in windows])
-        Y = np.stack([extract_targets(w) for w in windows])
+        X, Y = _design(windows)
         residuals = []
         for lam in (10.0, 1.0, 0.1, 0.01, 1e-4):
             model = fit_ridge(windows, FeatureConfig.POSE_ONLY, lam=lam)
@@ -246,8 +241,7 @@ class TestFitRidge:
         lam = 1.0
         model = fit_ridge(windows, FeatureConfig.POSE_ONLY, lam=lam)
 
-        X = np.stack([extract_features(w, FeatureConfig.POSE_ONLY) for w in windows])
-        Y = np.stack([extract_targets(w) for w in windows])
+        X, Y = _design(windows)
         Xn = X[:, model.kept] / model.std[model.kept]
         A = Xn.T @ Xn
         B = Xn.T @ Y
@@ -273,9 +267,12 @@ class TestPredict:
         ]
         model = fit_ridge(windows, FeatureConfig.POSE_ONLY, lam=1e-8)
         cv = ConstantVelocityPredictor(FeatureConfig.POSE_ONLY)
-        for window in windows[:20]:
-            truth = [f.state for f in window.future]
-            assert ade(model.predict(window), truth) < ade(cv.predict(window), truth) + 1e-6
+        pos, theta, _, truth = window_arrays(windows[:20], FeatureConfig.POSE_ONLY, future=True)
+
+        def window_ades(predictor):
+            return np.linalg.norm(predictor.forecast(pos, theta) - truth, axis=-1).mean(axis=1)
+
+        assert np.all(window_ades(model) < window_ades(cv) + 1e-6)
 
     def test_se2_equivariance(self):
         rng = np.random.default_rng(23)
@@ -332,6 +329,13 @@ def _old_states(xy, origin, theta_ref):
     return [AgentState(x, y, t) for x, y, t in zip(*xy.T.tolist(), headings.tolist())]
 
 
+def _jittered(window, offsets):
+    """``window`` with each observed position moved by a row of ``offsets`` (T, 2)."""
+    observed = tuple(replace(f, state=AgentState(f.state.x + dx, f.state.y + dy, f.state.theta))
+                     for f, (dx, dy) in zip(window.observed, offsets.tolist()))
+    return replace(window, observed=observed)
+
+
 def _bits(states):
     return [struct.pack("<3d", s.x, s.y, s.theta) for s in states]
 
@@ -382,12 +386,20 @@ class TestPredictHeadings:
     @pytest.mark.parametrize("case", ["ridge_gaze", "cv", "cv_stationary", "ridge_carry"])
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_sample_matches_numpy_oracle(self, case, sigma):
+        # Each member (sample) of a jittered ensemble, predicted as a window of
+        # its own, heads its steps as the oracle does, at the positions of the
+        # ensemble forecast that evaluate scores.
         model, window = _heading_cases()[case]
         pos, theta, gaze, _ = window_arrays([window], model.feature_config)
-        jittered = pos[0] + ensemble_jitter(3, 4, sigma, pos.shape[1])
-        members = model.forecast(jittered, theta, gaze)
-        want = [_bits(_old_states(xy, p[-1], theta[0, -1])) for xy, p in zip(members, jittered)]
-        assert [_bits(m) for m in model.sample(window, k=4, sigma=sigma, seed=3)] == want
+        jitter = ensemble_jitter(3, 4, sigma, pos.shape[1])
+        ensemble = model.forecast(pos[0] + jitter, theta, gaze)
+        for offsets, member in zip(jitter, ensemble):
+            jittered = _jittered(window, offsets)
+            m_pos, m_theta, m_gaze, _ = window_arrays([jittered], model.feature_config)
+            xy = model.forecast(m_pos, m_theta, m_gaze)[0]
+            np.testing.assert_allclose(xy, member, rtol=0, atol=1e-12)
+            want = _bits(_old_states(xy, m_pos[0, -1], m_theta[0, -1]))
+            assert _bits(model.predict(jittered)) == want
 
 
 class TestPredictionFrameCost:
@@ -423,6 +435,13 @@ class TestPredictionFrameCost:
         assert len(calls) == 8
 
 
+def _ensemble(model, window, k, sigma, seed):
+    """The K-member forecast (K, H, 2) that evaluate scores for ``window``:
+    one forecast of K input-jittered copies of its observed positions."""
+    pos, theta, gaze, _ = window_arrays([window], model.feature_config)
+    return model.forecast(pos[0] + ensemble_jitter(seed, k, sigma, pos.shape[1]), theta, gaze)
+
+
 class TestEnsemble:
     def _model(self):
         rng = np.random.default_rng(29)
@@ -435,34 +454,27 @@ class TestEnsemble:
 
     def test_zero_sigma_collapses(self):
         model, window = self._model()
-        members = model.sample(window, k=8, sigma=0.0, seed=1)
-        first = members[0]
-        for member in members[1:]:
-            assert all(a.x == b.x and a.y == b.y for a, b in zip(first, member))
+        members = _ensemble(model, window, k=8, sigma=0.0, seed=1)
+        assert np.array_equal(members, np.broadcast_to(members[0], members.shape))
 
     def test_spread_grows_with_sigma(self):
         # Oracle: mean pairwise FDE among ensemble members per sigma.
         model, window = self._model()
 
         def spread(sigma):
-            members = model.sample(window, k=12, sigma=sigma, seed=3)
-            total, count = 0.0, 0
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    total += fde(members[i], members[j])
-                    count += 1
-            return total / count
+            final = _ensemble(model, window, k=12, sigma=sigma, seed=3)[:, -1].tolist()
+            pairs = [math.dist(a, b) for i, a in enumerate(final) for b in final[i + 1:]]
+            return sum(pairs) / len(pairs)
 
         spreads = [spread(s) for s in (0.01, 0.05, 0.1, 0.2)]
         assert all(b > a for a, b in zip(spreads, spreads[1:]))
 
     def test_same_seed_identical(self):
         model, window = self._model()
-        a = model.sample(window, k=6, sigma=0.05, seed=11)
-        b = model.sample(window, k=6, sigma=0.05, seed=11)
-        for ta, tb in zip(a, b):
-            assert all(x.x == y.x and x.y == y.y and x.theta == y.theta
-                       for x, y in zip(ta, tb))
+        a = _ensemble(model, window, k=6, sigma=0.05, seed=11)
+        b = _ensemble(model, window, k=6, sigma=0.05, seed=11)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, _ensemble(model, window, k=6, sigma=0.05, seed=12))
 
 
 class TestModelIO:

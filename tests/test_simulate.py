@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fusioncast.errors import GenerationError
-from fusioncast.geometry import heading_and_rotate, heading_from_orientation, wrap_angle
+from fusioncast.geometry import heading_and_rotate, wrap_angle
 from fusioncast.sessions import save_session
 from fusioncast.simulate import (
     CorpusConfig,
@@ -114,6 +114,17 @@ class TestCorridorMap:
         with pytest.raises(GenerationError, match="nonfinite.json"):
             load_map(path)
 
+    @pytest.mark.parametrize("text", [
+        '{"centerline": [[0.0, 0.0], [10.0, 0.0]], "width": null}',
+        '[[0.0, 0.0], [10.0, 0.0]]',
+        '{"centerline": [[0.0, 0.0], [10.0, 0.0]], "width": 2.6, "obstacles": 5}',
+    ], ids=["width_null", "top_level_list", "obstacles_int"])
+    def test_wrong_shape_file_reports_location(self, tmp_path, text):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        with pytest.raises(GenerationError, match="shape.json"):
+            load_map(path)
+
     def test_project_matches_dense_sampling_oracle(self):
         # Oracle: per segment, the nearest of 4001 evenly spaced samples,
         # refined by bisection on the sign of the distance's slope within one
@@ -169,7 +180,7 @@ class TestSimulateHuman:
     def test_straight_zero_noise(self):
         params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0)
         session = simulate_human(_straight(), params, 10.0)
-        headings = [heading_from_orientation(p.orientation) for p in session.messages]
+        headings = [heading_and_rotate(p.orientation)[0] for p in session.messages]
         assert max(abs(h) for h in headings) < 1e-9
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
         assert max(abs(g) for g in gaze_yaws) < 1e-9
@@ -197,7 +208,7 @@ class TestSimulateHuman:
         params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0,
                                    gaze_lead_s=0.8, head_lead_s=0.4)
         session = simulate_human(_l_shape(), params, 15.0)
-        head_yaws = [heading_from_orientation(p.orientation) for p in session.messages]
+        head_yaws = [heading_and_rotate(p.orientation)[0] for p in session.messages]
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
         pos = np.array([p.position[:2] for p in session.messages])
         course = np.arctan2(np.diff(pos[:, 1]), np.diff(pos[:, 0]))
@@ -300,7 +311,7 @@ class TestSimulateRobot:
         params = RobotRunParams(waypoints=((0.0, 0.0), (8.0, 0.0), (8.0, 8.0)),
                                 cruise_speed=1.2, max_accel=0.6, max_yaw_rate=0.9)
         session = simulate_robot(corridor, params, 40.0)
-        headings = [heading_from_orientation(p.orientation) for p in session.messages]
+        headings = [heading_and_rotate(p.orientation)[0] for p in session.messages]
         for a, b in zip(headings, headings[1:]):
             assert abs(wrap_angle(b - a)) <= params.max_yaw_rate * 0.1 + EPS
         for msg in session.messages:

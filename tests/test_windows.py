@@ -1,5 +1,7 @@
 """Windowing and session-level split hygiene."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,13 +69,9 @@ class TestSegment:
     def test_too_short_returns_empty(self):
         assert segment(_frames(59), 1, FeatureConfig.POSE_HEAD_GAZE) == []
 
-    def test_pose_only_windows_have_no_gaze(self):
-        windows = segment(_frames(60), 1, FeatureConfig.POSE_ONLY)
-        assert all(f.gaze_world is None for w in windows for f in w.frames)
-
     def test_timestamps_form_arithmetic_sequence(self):
         for w in segment(_frames(200), 1, FeatureConfig.POSE_HEAD_GAZE):
-            ts = [f.timestamp_us for f in w.frames]
+            ts = [f.timestamp_us for f in w.observed + w.future]
             assert all(b - a == 100_000 for a, b in zip(ts, ts[1:]))
 
     def test_pure_function_same_output(self):
@@ -135,6 +133,13 @@ class TestSplit:
     def test_bad_ratios_rejected(self):
         with pytest.raises(ConfigError):
             split_sessions(range(10), (0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("ratios", [
+        (0.5, 0.5), (0.5, 0.5, 0.0, 0.0), (math.nan, 0.5, 0.5), ("0.6", "0.2", "0.2"),
+    ], ids=["two", "four", "nan", "strings"])
+    def test_ratios_must_be_three_finite_numbers(self, ratios):
+        with pytest.raises(ConfigError, match="three finite numbers"):
+            split_sessions(range(10), ratios, seed=0)
 
     def test_too_few_sessions_rejected(self):
         with pytest.raises(ConfigError):
