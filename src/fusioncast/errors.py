@@ -14,7 +14,7 @@ class OrderingError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Incompatible feature configuration, split setup, or manifest contents."""
+    """Incompatible feature configuration, corpus or split setup, or manifest contents."""
 
 
 class GenerationError(RuntimeError):

@@ -49,8 +49,6 @@ def _kde_nll(clouds: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
     and the number of (window, step) pairs whose ensemble is degenerate (all
     members identical), which take the bandwidth floor."""
     k, t_steps = clouds.shape[-3:-1]
-    if k < 2:
-        raise ValueError(f"a KDE bandwidth needs K >= 2 ensemble members, got {k}")
     pts = np.swapaxes(clouds, -3, -2)  # (..., T, K, 2)
     std = pts.std(axis=-2, ddof=1)  # (..., T, 2)
     degenerate = int(np.count_nonzero(np.all(std == 0.0, axis=-1)))
@@ -118,6 +116,8 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     reproducible byte-for-byte. Steps whose ensemble is degenerate take the
     bandwidth floor, and one RuntimeWarning counts them.
     """
+    if k < 2:
+        raise ValueError(f"a KDE bandwidth needs K >= 2 ensemble members, got {k}")
     windows = list(windows)
     if not windows:
         raise ValueError("empty test set")
@@ -129,7 +129,7 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
         raise ValueError(f"trajectory length mismatch: {pred.shape} vs {truth.shape}")
     steps = np.linalg.norm(pred - truth, axis=-1)  # (N, H)
     nlls, degenerate = [], 0
-    block = max(1, _MEMBERS_PER_BLOCK // max(k, 1))
+    block = max(1, _MEMBERS_PER_BLOCK // k)
     for start in range(0, len(windows), block):
         part = slice(start, start + block)
         jitter = np.stack([ensemble_jitter((seed, idx), k, sigma, pos.shape[1])

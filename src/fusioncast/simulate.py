@@ -1,37 +1,38 @@
 """Synthetic corridor sessions standing in for hardware trials.
 
-Humans are kinematic unicycles steered by pure pursuit along the corridor
-centerline, with exponential repulsion from other walkers and obstacles and
-a right-hand bias so head-on encounters resolve. Head yaw and gaze yaw are
-the body heading sampled ahead in time: gaze leads the head, the head leads
-the body, which is the cue structure the full predictor configuration is
-supposed to exploit. Gaze is emitted in the device-local frame, so the
-ingestion pipeline has to rotate it back through the orientation quaternion
-to recover the world direction.
+Each human session records one walker alone in its corridor: a kinematic
+unicycle steered by pure pursuit along the centerline, turning around at
+either end. Head yaw and gaze yaw are the body heading sampled ahead in time:
+gaze leads the head, the head leads the body, which is the cue structure the
+full predictor configuration is supposed to exploit. Gaze is emitted in the
+device-local frame, so the ingestion pipeline has to rotate it back through
+the orientation quaternion to recover the world direction.
 
 Robots follow waypoints with yaw-rate-clamped steering and an accel-limited
 (trapezoidal) speed profile; the headset rides rigidly, so orientation equals
 the drive heading and no gaze is emitted.
 
-Everything is seeded and deterministic: the same config yields byte-identical
-session files. The per-step loops work on Python floats, not 2-vectors: at two
-components numpy's per-call overhead costs more than the arithmetic, and a
-plain float expression rounds the same way everywhere, where a BLAS dot
-product may fuse or reorder it.
+A corpus is its four CorpusConfig values: the maps are seeded variants of
+BASE_MAP, and walker and robot parameters are their defaults, each session
+with its own seed. The same config yields byte-identical session files.
+
+The per-step loops work on Python floats, not 2-vectors: at two components
+numpy's per-call overhead costs more than the arithmetic, and a plain float
+expression rounds the same way everywhere, where a BLAS dot product may fuse
+or reorder it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import ConfigError, GenerationError
 from .geometry import quaternion_from_yaw, wrap_angle
 from .protocol import AGENT_HUMAN, AGENT_ROBOT, HeadsetSample, RobotSample
 from .sessions import GRID_PERIOD_US, Session
@@ -53,9 +54,6 @@ WALKER_ACCEL = 1.5  # m/s^2
 TURN_SLOWDOWN = 0.4
 WALL_MARGIN_M = 0.2
 END_MARGIN_M = 0.5
-REPULSE_STRENGTH = 2.0
-REPULSE_FALLOFF_M = 0.45
-SIDE_BIAS = 0.8
 
 MIN_HUMAN_DURATION_S = (OBS_FRAMES + HORIZON_FRAMES) * SIM_STEP_US / 1_000_000  # one window
 MIN_ROUTE_LENGTH_M = 2.0
@@ -63,12 +61,10 @@ MIN_ROUTE_LENGTH_M = 2.0
 
 @dataclass
 class CorridorMap:
-    """Axis-connected corridor: a centerline polyline with constant width and
-    optional static disc obstacles."""
+    """Axis-connected corridor: a centerline polyline with constant width."""
 
     centerline: np.ndarray  # (V, 2) meters
     width: float
-    obstacles: tuple[tuple[float, float, float], ...] = ()  # (x, y, radius)
 
     def __post_init__(self):
         self.centerline = np.asarray(self.centerline, dtype=np.float64)
@@ -78,7 +74,6 @@ class CorridorMap:
             raise ValueError("centerline has non-finite vertices")
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError(f"corridor width must be positive and finite, got {self.width}")
-        self.obstacles = tuple(_checked_obstacle(obs) for obs in self.obstacles)
         seg = np.diff(self.centerline, axis=0)
         seg_len = np.linalg.norm(seg, axis=1)
         if np.any(seg_len < 1e-9):
@@ -122,55 +117,33 @@ class CorridorMap:
                 best_d2, best_s, best_lateral = d2, cum + t, ux * wy - uy * wx
         return best_s, best_lateral
 
-    def to_dict(self) -> dict:
-        return {
-            "centerline": [[float(x), float(y)] for x, y in self.centerline],
-            "width": float(self.width),
-            "obstacles": [[float(a) for a in obs] for obs in self.obstacles],
-        }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "CorridorMap":
-        return cls(
-            centerline=np.array(raw["centerline"], dtype=np.float64),
-            width=float(raw["width"]),
-            obstacles=tuple(tuple(o) for o in raw.get("obstacles", [])),
-        )
-
-
-def _checked_obstacle(obs) -> tuple[float, float, float]:
-    try:
-        x, y, radius = (float(v) for v in obs)
-    except (TypeError, ValueError):
-        raise ValueError(f"obstacle {obs!r} is not an (x, y, radius) triple") from None
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(radius) and radius > 0):
-        raise ValueError(f"obstacle {obs!r} needs a finite centre and a finite radius > 0")
-    return x, y, radius
+# The corpus maps are variants of this S-shaped corridor, 40 m along its
+# centerline: interior corners and the width are jittered, endpoints stay put.
+BASE_MAP = CorridorMap(
+    centerline=np.array([
+        [0.0, 0.0], [8.0, 0.0], [8.0, 8.0], [16.0, 8.0], [16.0, 0.0], [24.0, 0.0],
+    ]),
+    width=2.6,
+)
+BASE_MAP.centerline.flags.writeable = False  # shared by every corpus
+N_MAP_VARIANTS = 4
+CORNER_JITTER_M = 0.5
+WIDTH_JITTER_M = 0.2
+MIN_VARIANT_WIDTH_M = 1.6
+WAYPOINT_JITTER_M = 0.25  # robot route vertices, per run
 
 
-def save_map(corridor: CorridorMap, path) -> None:
-    Path(path).write_text(json.dumps(corridor.to_dict(), sort_keys=True, indent=2) + "\n")
-
-
-def load_map(path) -> CorridorMap:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-        return CorridorMap.from_dict(raw)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise GenerationError(f"{path}: invalid map file: {exc}") from exc
-
-
-def map_variant(base: CorridorMap, corner_jitter: float, width_jitter: float,
-                seed) -> CorridorMap:
-    """Perturb interior corners and the width; endpoints stay fixed."""
+def map_variant(base: CorridorMap, seed) -> CorridorMap:
+    """Perturb interior corners by up to CORNER_JITTER_M and the width by up
+    to WIDTH_JITTER_M; endpoints stay fixed."""
     rng = np.random.default_rng(seed)
     centerline = base.centerline.copy()
-    if len(centerline) > 2 and corner_jitter > 0:
-        centerline[1:-1] += rng.uniform(-corner_jitter, corner_jitter,
-                                        size=(len(centerline) - 2, 2))
-    width = max(1.6, base.width + float(rng.uniform(-width_jitter, width_jitter)))
-    return CorridorMap(centerline=centerline, width=width, obstacles=base.obstacles)
+    centerline[1:-1] += rng.uniform(-CORNER_JITTER_M, CORNER_JITTER_M,
+                                    size=(len(centerline) - 2, 2))
+    width = max(MIN_VARIANT_WIDTH_M,
+                base.width + float(rng.uniform(-WIDTH_JITTER_M, WIDTH_JITTER_M)))
+    return CorridorMap(centerline=centerline, width=width)
 
 
 @dataclass
@@ -180,29 +153,23 @@ class HumanWalkerParams:
     gaze_lead_s: float = 0.8  # gaze anticipates body heading; must be >= head lead
     heading_noise_std: float = 0.05  # rad per step
     speed_noise_std: float = 0.05  # m/s per step
-    avoid_radius: float = 1.2  # m
     seed: int = 0
-    start_s: float = 0.0  # arc length of the start point
-    direction: int = 1  # +1 toward the far end, -1 back
     gaze_pitch_rad: float = -0.1  # constant downward pitch of the gaze
 
     def __post_init__(self):
         for name in ("preferred_speed", "head_lead_s", "gaze_lead_s", "heading_noise_std",
-                     "speed_noise_std", "avoid_radius", "start_s", "gaze_pitch_rad"):
+                     "speed_noise_std", "gaze_pitch_rad"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.gaze_lead_s >= self.head_lead_s >= 0.0):
             raise ValueError(
                 f"need gaze_lead >= head_lead >= 0, got {self.gaze_lead_s}/{self.head_lead_s}"
             )
-        for name in ("preferred_speed", "avoid_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.preferred_speed <= 0:
+            raise ValueError(f"preferred_speed must be positive, got {self.preferred_speed!r}")
         for name in ("heading_noise_std", "speed_noise_std"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.direction not in (1, -1):
-            raise ValueError("direction must be +1 or -1")
 
 
 @dataclass
@@ -229,15 +196,13 @@ class _WalkerState:
     y: float
     theta: float
     speed: float
-    direction: int
+    direction: int  # +1 toward the far end, -1 back
     params: HumanWalkerParams
     noise: Iterator[float]  # standard normals, drawn in step order
 
 
-def _steer_walker(corridor: CorridorMap, me: _WalkerState,
-                  walkers: list[_WalkerState]) -> float:
-    """Desired heading from pure pursuit plus repulsion from the other
-    walkers and the obstacles."""
+def _steer_walker(corridor: CorridorMap, me: _WalkerState) -> float:
+    """Desired heading by pure pursuit, turning around at either end."""
     x, y = me.x, me.y
     s_proj, _lateral = corridor.project((x, y))
     length = corridor.total_length
@@ -247,34 +212,13 @@ def _steer_walker(corridor: CorridorMap, me: _WalkerState,
         me.direction = 1
     tx, ty = corridor.point_at(s_proj + me.direction * LOOKAHEAD_M)
 
+    # Scaling the pull to the preferred speed leaves its direction alone but
+    # not atan2's last bit, and saved corpora pin that rounding.
     dx, dy = tx - x, ty - y
     norm = math.sqrt(dx * dx + dy * dy)
     if norm > 1e-9:
         speed = me.params.preferred_speed
         dx, dy = dx / norm * speed, dy / norm * speed
-
-    avoid = me.params.avoid_radius
-    cos_t, sin_t = math.cos(me.theta), math.sin(me.theta)
-    for other in walkers:
-        if other is me:
-            continue
-        ox, oy = x - other.x, y - other.y
-        dist = math.sqrt(ox * ox + oy * oy)
-        if dist < 1e-9 or dist > 3.0 * avoid:
-            continue
-        push = REPULSE_STRENGTH * math.exp((avoid - dist) / REPULSE_FALLOFF_M)
-        dx, dy = dx + ox / dist * push, dy + oy / dist * push
-        if cos_t * math.cos(other.theta) + sin_t * math.sin(other.theta) < -0.2:
-            # Roughly head-on: bias to the right.
-            dx, dy = dx + sin_t * push * SIDE_BIAS, dy + -cos_t * push * SIDE_BIAS
-    for cx, cy, radius in corridor.obstacles:
-        ox, oy = x - cx, y - cy
-        dist = math.sqrt(ox * ox + oy * oy)
-        reach = radius + avoid
-        if dist < 1e-9 or dist > reach + 1.0:
-            continue
-        push = REPULSE_STRENGTH * math.exp((reach - dist) / REPULSE_FALLOFF_M)
-        dx, dy = dx + ox / dist * push, dy + oy / dist * push
 
     return math.atan2(dy, dx)
 
@@ -309,42 +253,10 @@ def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None
     me.x, me.y = x, y
 
 
-def _simulate_walker_traces(corridor: CorridorMap, walkers: list[HumanWalkerParams],
-                            n_frames: int):
-    """Joint body simulation; returns per-walker lists of (x, y) positions
-    and of headings."""
-    states = []
-    for params in walkers:
-        x, y = corridor.point_at(params.start_s)
-        ux, uy = corridor.tangent_at(params.start_s)
-        # One normal per noisy channel per step, the order the steps use them.
-        draws = n_frames * ((params.heading_noise_std > 0) + (params.speed_noise_std > 0))
-        noise = np.random.default_rng(params.seed).standard_normal(draws).tolist()
-        states.append(_WalkerState(
-            x=x, y=y,
-            theta=math.atan2(uy * params.direction, ux * params.direction),
-            speed=params.preferred_speed,
-            direction=params.direction,
-            params=params,
-            noise=iter(noise),
-        ))
-    positions = [[] for _ in states]
-    headings = [[] for _ in states]
-    for _ in range(n_frames):
-        for st, pos, heading in zip(states, positions, headings):
-            pos.append((st.x, st.y))
-            heading.append(st.theta)
-        desired = [_steer_walker(corridor, st, states) for st in states]
-        for st, psi in zip(states, desired):
-            _advance_walker(corridor, st, psi)
-    return positions, headings
-
-
 def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s: float,
-                   others: tuple[HumanWalkerParams, ...] = (), session_id: int = 1,
-                   label: str = "") -> Session:
-    """Generate one recorded walker (plus unrecorded companions) as a Session
-    of headset samples."""
+                   session_id: int = 1, label: str = "") -> Session:
+    """Generate one walker, starting at the near end, as a Session of headset
+    samples."""
     if duration_s < MIN_HUMAN_DURATION_S:
         raise ValueError(f"duration must be >= {MIN_HUMAN_DURATION_S} s, got {duration_s}")
     if corridor.total_length < MIN_ROUTE_LENGTH_M:
@@ -352,17 +264,26 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
             f"corridor length {corridor.total_length:.2f} m has no traversable route"
         )
     n_frames = int(round(duration_s / SIM_DT))
-    walkers = [params, *others]
-    positions, headings = _simulate_walker_traces(corridor, walkers, n_frames)
+    x, y = corridor.point_at(0.0)
+    ux, uy = corridor.tangent_at(0.0)
+    # One normal per noisy channel per step, the order the steps use them.
+    draws = n_frames * ((params.heading_noise_std > 0) + (params.speed_noise_std > 0))
+    noise = np.random.default_rng(params.seed).standard_normal(draws).tolist()
+    walker = _WalkerState(x=x, y=y, theta=math.atan2(uy, ux), speed=params.preferred_speed,
+                          direction=1, params=params, noise=iter(noise))
+    positions, body = [], []
+    for _ in range(n_frames):
+        positions.append((walker.x, walker.y))
+        body.append(walker.theta)
+        _advance_walker(corridor, walker, _steer_walker(corridor, walker))
 
-    body = headings[0]
     head_shift = int(round(params.head_lead_s / SIM_DT))
     gaze_shift = int(round(params.gaze_lead_s / SIM_DT))
     pitch = params.gaze_pitch_rad
     cos_p, sin_p = math.cos(pitch), math.sin(pitch)
 
     session = Session(session_id, AGENT_HUMAN, label=label)
-    for t, (x, y) in enumerate(positions[0]):
+    for t, (x, y) in enumerate(positions):
         head_yaw = body[min(t + head_shift, n_frames - 1)]
         gaze_yaw = body[min(t + gaze_shift, n_frames - 1)]
         # The head only yaws, so the gaze in its frame is the gaze yaw
@@ -473,85 +394,41 @@ class CorpusConfig:
     n_robot: int = 10
     duration_s: float = 90.0
     seed: int = 7
-    companions: int = 0  # unrecorded walkers sharing each human session
-    base_map: CorridorMap = field(default_factory=lambda: CorridorMap(
-        centerline=np.array([
-            [0.0, 0.0], [8.0, 0.0], [8.0, 8.0], [16.0, 8.0], [16.0, 0.0], [24.0, 0.0],
-        ]),
-        width=2.6,
-    ))
-    n_map_variants: int = 4
-    corner_jitter: float = 0.5
-    width_jitter: float = 0.2
-    human_template: HumanWalkerParams = field(default_factory=HumanWalkerParams)
-    robot_template: RobotRunParams = field(default_factory=RobotRunParams)
-    waypoint_jitter: float = 0.25
+
+    def __post_init__(self):
+        for name in ("n_human", "n_robot", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= 0):
+                raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
+        duration = self.duration_s
+        if not (isinstance(duration, Real) and not isinstance(duration, bool)
+                and math.isfinite(duration) and duration > 0):
+            raise ConfigError(f"duration_s must be finite and > 0, got {duration!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_human": self.n_human,
-            "n_robot": self.n_robot,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "companions": self.companions,
-            "base_map": self.base_map.to_dict(),
-            "n_map_variants": self.n_map_variants,
-            "corner_jitter": self.corner_jitter,
-            "width_jitter": self.width_jitter,
-            "human_template": {
-                k: v for k, v in self.human_template.__dict__.items()
-            },
-            "robot_template": {
-                "waypoints": [list(w) for w in self.robot_template.waypoints],
-                "cruise_speed": self.robot_template.cruise_speed,
-                "max_accel": self.robot_template.max_accel,
-                "max_yaw_rate": self.robot_template.max_yaw_rate,
-            },
-            "waypoint_jitter": self.waypoint_jitter,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CorpusConfig":
-        return cls(
-            n_human=raw["n_human"],
-            n_robot=raw["n_robot"],
-            duration_s=raw["duration_s"],
-            seed=raw["seed"],
-            companions=raw.get("companions", 0),
-            base_map=CorridorMap.from_dict(raw["base_map"]),
-            n_map_variants=raw["n_map_variants"],
-            corner_jitter=raw["corner_jitter"],
-            width_jitter=raw["width_jitter"],
-            human_template=HumanWalkerParams(**raw["human_template"]),
-            robot_template=RobotRunParams(
-                waypoints=tuple(tuple(w) for w in raw["robot_template"]["waypoints"]),
-                cruise_speed=raw["robot_template"]["cruise_speed"],
-                max_accel=raw["robot_template"]["max_accel"],
-                max_yaw_rate=raw["robot_template"]["max_yaw_rate"],
-            ),
-            waypoint_jitter=raw.get("waypoint_jitter", 0.25),
-        )
+        return cls(n_human=raw["n_human"], n_robot=raw["n_robot"],
+                   duration_s=raw["duration_s"], seed=raw["seed"])
 
 
 def _derived_seed(master: int, stream: int, index: int) -> int:
     return int(np.random.SeedSequence((master, stream, index)).generate_state(1)[0])
 
 
-def corpus_maps(config: CorpusConfig) -> list[CorridorMap]:
-    return [
-        map_variant(config.base_map, config.corner_jitter, config.width_jitter,
-                    seed=_derived_seed(config.seed, 1, v))
-        for v in range(config.n_map_variants)
-    ]
+def corpus_maps(seed: int) -> list[CorridorMap]:
+    return [map_variant(BASE_MAP, seed=_derived_seed(seed, 1, v)) for v in range(N_MAP_VARIANTS)]
 
 
-def _robot_waypoints(corridor: CorridorMap, jitter: float, rng) -> tuple:
-    """Centerline vertices with a small per-run jitter, kept inside the walls."""
+def _robot_waypoints(corridor: CorridorMap, rng) -> tuple:
+    """Centerline vertices with a small per-run jitter on the interior ones;
+    MIN_VARIANT_WIDTH_M keeps them inside the walls' margins."""
     points = []
-    max_off = min(jitter, corridor.width / 2 - WALL_MARGIN_M - 0.05)
     for idx, vertex in enumerate(corridor.centerline):
-        if 0 < idx < len(corridor.centerline) - 1 and max_off > 0:
-            offset = rng.uniform(-max_off, max_off, size=2)
+        if 0 < idx < len(corridor.centerline) - 1:
+            offset = rng.uniform(-WAYPOINT_JITTER_M, WAYPOINT_JITTER_M, size=2)
         else:
             offset = np.zeros(2)
         points.append(tuple(vertex + offset))
@@ -563,44 +440,20 @@ def generate_corpus(config: CorpusConfig) -> list[Session]:
     robots continue from there. Deterministic in the config alone."""
     if config.n_human + config.n_robot < 6:
         raise ValueError("corpus needs at least 6 sessions for a 3-way split")
-    maps = corpus_maps(config)
+    maps = corpus_maps(config.seed)
     sessions = []
     for i in range(config.n_human):
         variant = i % len(maps)
-        corridor = maps[variant]
-        params = replace(
-            config.human_template,
-            seed=_derived_seed(config.seed, 2, i),
-            start_s=0.0,
-            direction=1,
-        )
-        others = tuple(
-            replace(
-                config.human_template,
-                seed=_derived_seed(config.seed, 4, i * 97 + c),
-                start_s=corridor.total_length * (c + 1) / (config.companions + 1),
-                direction=-1 if c % 2 == 0 else 1,
-            )
-            for c in range(config.companions)
-        )
         sessions.append(simulate_human(
-            corridor, params, config.duration_s, others=others,
-            session_id=i + 1, label=f"map{variant}",
+            maps[variant], HumanWalkerParams(seed=_derived_seed(config.seed, 2, i)),
+            config.duration_s, session_id=i + 1, label=f"map{variant}",
         ))
     for j in range(config.n_robot):
         variant = j % len(maps)
         corridor = maps[variant]
         rng = np.random.default_rng(_derived_seed(config.seed, 3, j))
-        template = config.robot_template
-        waypoints = template.waypoints or _robot_waypoints(corridor, config.waypoint_jitter, rng)
-        params = RobotRunParams(
-            waypoints=waypoints,
-            cruise_speed=template.cruise_speed,
-            max_accel=template.max_accel,
-            max_yaw_rate=template.max_yaw_rate,
-        )
         sessions.append(simulate_robot(
-            corridor, params, config.duration_s,
-            session_id=config.n_human + j + 1, label=f"map{variant}",
+            corridor, RobotRunParams(waypoints=_robot_waypoints(corridor, rng)),
+            config.duration_s, session_id=config.n_human + j + 1, label=f"map{variant}",
         ))
     return sessions

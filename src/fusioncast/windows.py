@@ -127,13 +127,31 @@ class DatasetSplit:
     @classmethod
     def from_json(cls, text: str) -> "DatasetSplit":
         raw = json.loads(text)
+        seed = raw["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"split seed must be an int, got {seed!r}")
         return cls(
             train=tuple(raw["train"]),
             validation=tuple(raw["validation"]),
             test=tuple(raw["test"]),
-            ratios=tuple(raw["ratios"]),
-            seed=raw["seed"],
+            ratios=_checked_ratios(raw["ratios"]),
+            seed=seed,
         )
+
+
+def _checked_ratios(ratios) -> tuple[float, float, float]:
+    """Three finite, nonnegative split ratios summing to 1, as floats."""
+    try:
+        three_finite = len(ratios) == 3 and all(math.isfinite(r) for r in ratios)
+    except TypeError:
+        three_finite = False
+    if not three_finite:
+        raise ConfigError(f"split ratios must be three finite numbers, got {ratios!r}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split ratios must sum to 1, got {ratios!r}")
+    if any(r < 0 for r in ratios):
+        raise ConfigError(f"split ratios must be nonnegative, got {ratios!r}")
+    return tuple(float(r) for r in ratios)
 
 
 def split_sessions(session_ids, ratios: tuple[float, float, float], seed: int) -> DatasetSplit:
@@ -145,16 +163,7 @@ def split_sessions(session_ids, ratios: tuple[float, float, float], seed: int) -
         raise ConfigError("duplicate session ids")
     if len(ids) < 3:
         raise ConfigError(f"need at least 3 sessions to split, got {len(ids)}")
-    try:
-        three_finite = len(ratios) == 3 and all(math.isfinite(r) for r in ratios)
-    except TypeError:
-        three_finite = False
-    if not three_finite:
-        raise ConfigError(f"split ratios must be three finite numbers, got {ratios!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios!r}")
-    if any(r < 0 for r in ratios):
-        raise ConfigError(f"split ratios must be nonnegative, got {ratios!r}")
+    ratios = _checked_ratios(ratios)
     nonzero = sum(1 for r in ratios if r > 0)
     if len(ids) < nonzero:
         raise ConfigError(f"{len(ids)} sessions cannot fill {nonzero} split buckets")
@@ -188,6 +197,6 @@ def split_sessions(session_ids, ratios: tuple[float, float, float], seed: int) -
         train=tuple(ids[:c1]),
         validation=tuple(ids[c1:c2]),
         test=tuple(ids[c2:]),
-        ratios=tuple(float(r) for r in ratios),
+        ratios=ratios,
         seed=int(seed),
     )

@@ -48,6 +48,21 @@ class TestKdeNll:
             evaluate(ConstantVelocityPredictor(FeatureConfig.POSE_ONLY), [_line_window(0.0)],
                      FeatureConfig.POSE_ONLY, k=1)
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_ensemble_size_checked_before_forecasting(self, k):
+        class CountingPredictor:
+            feature_config = FeatureConfig.POSE_ONLY
+            calls = 0
+
+            def forecast(self, pos, theta, gaze):
+                self.calls += 1
+                return ConstantVelocityPredictor(self.feature_config).forecast(pos, theta, gaze)
+
+        predictor = CountingPredictor()
+        with pytest.raises(ValueError, match="bandwidth needs K >= 2"):
+            evaluate(predictor, [_line_window(0.0)] * 4, FeatureConfig.POSE_ONLY, k=k)
+        assert predictor.calls == 0
+
     def test_degenerate_ensemble_warns_and_uses_floor(self):
         # sigma = 0 gives K identical members, so every step takes the floor.
         windows = [_line_window(0.002), _line_window(-0.001, dx=0.12)]

@@ -14,8 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fusioncast"
-AWAITING_CLI = {"save_model", "load_model", "save_map", "load_map",
-                "to_json", "from_json", "to_dict", "from_dict"}
+AWAITING_CLI = {"save_model", "load_model", "to_json", "from_json", "to_dict", "from_dict"}
 
 
 def _references(node: ast.AST) -> Counter:

@@ -362,6 +362,24 @@ class TestPersistence:
         assert digest.hexdigest() == (
             "a2b5335fcfff2fa3ac85dc4ec0cbd4fea423a95ffc7e8ef0cb58a52b936c1819")
 
+    def test_saved_bytes_pinned_past_turnaround_and_route_end(self, tmp_path):
+        # As above, over a minute: every walker reaches the far end of its
+        # corridor (x = 24 m) and turns back, and every robot stops at its
+        # last waypoint, so the digest covers both of those paths too.
+        digest = hashlib.sha256()
+        config = CorpusConfig(n_human=3, n_robot=3, duration_s=60.0, seed=11)
+        for session in generate_corpus(config):
+            xs = [msg.position[0] for msg in session.messages]
+            if session.agent_kind == "human":
+                assert max(xs) > 23.0 and xs[-1] < 8.0
+            else:
+                assert abs(xs[-1] - 24.0) < 0.05 and session.messages[-1].linear_speed == 0.0
+            path = tmp_path / f"{session.session_id}.fcs"
+            save_session(session, path)
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "977ca4ed8e2e1ed2adafd9810aa482fdc5a241bc4512e448c7fcfa16d9a6a5d3")
+
     def test_missing_end_marks_incomplete(self, tmp_path):
         session = _human_session(10, sid=4)
         session.end()

@@ -1,26 +1,26 @@
 """Synthetic session generation: walkers, robots, corpus reproducibility."""
 
 import hashlib
-import json
 import math
 
 import numpy as np
 import pytest
 
-from fusioncast.errors import GenerationError
+from fusioncast.errors import ConfigError, GenerationError
 from fusioncast.geometry import heading_and_rotate, wrap_angle
 from fusioncast.sessions import save_session
 from fusioncast.simulate import (
+    BASE_MAP,
+    CORNER_JITTER_M,
+    N_MAP_VARIANTS,
+    WIDTH_JITTER_M,
     CorpusConfig,
     CorridorMap,
     HumanWalkerParams,
     RobotRunParams,
-    _simulate_walker_traces,
     corpus_maps,
     generate_corpus,
-    load_map,
     map_variant,
-    save_map,
     simulate_human,
     simulate_robot,
 )
@@ -68,22 +68,6 @@ class TestCorridorMap:
         with pytest.raises(ValueError):
             CorridorMap(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.0)
 
-    def test_file_round_trip(self, tmp_path):
-        m = CorridorMap(np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0]]), 2.4,
-                        obstacles=((4.0, 0.3, 0.2),))
-        path = tmp_path / "map.json"
-        save_map(m, path)
-        loaded = load_map(path)
-        assert np.allclose(loaded.centerline, m.centerline)
-        assert loaded.width == m.width
-        assert loaded.obstacles == m.obstacles
-
-    def test_invalid_file_reports_location(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(GenerationError, match="bad.json"):
-            load_map(path)
-
     @pytest.mark.parametrize("width", [math.nan, math.inf])
     def test_rejects_non_finite_width(self, width):
         with pytest.raises(ValueError, match="width"):
@@ -93,44 +77,12 @@ class TestCorridorMap:
         with pytest.raises(ValueError, match="non-finite"):
             CorridorMap(np.array([[0.0, 0.0], [10.0, math.nan], [20.0, 0.0]]), 2.6)
 
-    @pytest.mark.parametrize("obstacle", [
-        (5.0, 0.0, math.nan), (math.inf, 0.0, 0.3), (5.0, 0.0, 0.0), (5.0, 0.0, -0.3),
-        (5.0, 0.0), (5.0, 0.0, 0.3, 1.0), (5.0, "a", 0.3), (5.0, None, 0.3),
-    ])
-    def test_rejects_bad_obstacle(self, obstacle):
-        with pytest.raises(ValueError, match="obstacle"):
-            CorridorMap(np.array([[0.0, 0.0], [10.0, 0.0]]), 2.6, obstacles=(obstacle,))
-
-    @pytest.mark.parametrize("change", [
-        {"width": math.nan},
-        {"centerline": [[0.0, 0.0], [math.nan, 0.0]]},
-        {"obstacles": [[5.0, 0.0, math.nan]]},
-        {"obstacles": [[5.0, 0.0, None]]},
-    ], ids=["width", "centerline", "obstacle_nan", "obstacle_null"])
-    def test_non_finite_file_reports_location(self, tmp_path, change):
-        raw = {"centerline": [[0.0, 0.0], [10.0, 0.0]], "width": 2.6, "obstacles": []}
-        path = tmp_path / "nonfinite.json"
-        path.write_text(json.dumps({**raw, **change}))  # NaN is written as the NaN token
-        with pytest.raises(GenerationError, match="nonfinite.json"):
-            load_map(path)
-
-    @pytest.mark.parametrize("text", [
-        '{"centerline": [[0.0, 0.0], [10.0, 0.0]], "width": null}',
-        '[[0.0, 0.0], [10.0, 0.0]]',
-        '{"centerline": [[0.0, 0.0], [10.0, 0.0]], "width": 2.6, "obstacles": 5}',
-    ], ids=["width_null", "top_level_list", "obstacles_int"])
-    def test_wrong_shape_file_reports_location(self, tmp_path, text):
-        path = tmp_path / "shape.json"
-        path.write_text(text)
-        with pytest.raises(GenerationError, match="shape.json"):
-            load_map(path)
-
     def test_project_matches_dense_sampling_oracle(self):
         # Oracle: per segment, the nearest of 4001 evenly spaced samples,
         # refined by bisection on the sign of the distance's slope within one
         # spacing of it; the nearest segment wins and near-equal distances go
         # to the earlier segment.
-        corridor = CorpusConfig().base_map
+        corridor = BASE_MAP
         vertices = corridor.centerline
         rng = np.random.default_rng(5)
         points = [tuple(p) for p in rng.uniform([-4.0, -5.0], [28.0, 13.0], size=(300, 2))]
@@ -171,7 +123,7 @@ class TestCorridorMap:
     def test_project_exact_tie_takes_earlier_segment(self):
         # Outside the left turn at (8, 0) both segments are nearest at the
         # corner itself; the earlier one gives the lateral offset.
-        corridor = CorpusConfig().base_map
+        corridor = BASE_MAP
         assert corridor.project((9.0, -2.0)) == (8.0, -2.0)  # the later one would give -1
         assert corridor.project((8.0, 0.0)) == (8.0, 0.0)
 
@@ -218,16 +170,6 @@ class TestSimulateHuman:
         t_body = _first_crossing(course, mid)
         assert t_gaze < t_head < t_body
 
-    def test_collision_course_separation(self):
-        corridor = _straight(24.0, width=3.0)
-        a = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0,
-                              start_s=0.0, direction=1, seed=1)
-        b = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0,
-                              start_s=24.0, direction=-1, seed=2)
-        traces, _ = _simulate_walker_traces(corridor, [a, b], 150)
-        separation = np.linalg.norm(np.subtract(traces[0], traces[1]), axis=1)
-        assert separation.min() >= a.avoid_radius * 0.5
-
     def test_stays_inside_corridor(self):
         corridor = CorridorMap(
             np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0], [16.0, 8.0]]), 2.4
@@ -259,34 +201,14 @@ class TestSimulateHuman:
     @pytest.mark.parametrize("field,value", [
         ("preferred_speed", math.nan), ("preferred_speed", math.inf), ("preferred_speed", 0.0),
         ("head_lead_s", math.nan), ("gaze_lead_s", math.inf),
-        ("gaze_pitch_rad", math.nan), ("start_s", math.inf),
+        ("preferred_speed", -1.0), ("gaze_pitch_rad", math.nan), ("gaze_pitch_rad", math.inf),
         ("heading_noise_std", -0.01), ("heading_noise_std", math.nan),
-        ("speed_noise_std", -0.01), ("speed_noise_std", math.inf),
-        ("avoid_radius", 0.0), ("avoid_radius", -1.0), ("avoid_radius", math.nan),
+        ("heading_noise_std", math.inf), ("speed_noise_std", -0.01),
+        ("speed_noise_std", math.inf), ("speed_noise_std", math.nan),
     ])
     def test_walker_params_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             HumanWalkerParams(**{field: value})
-
-    def test_corpus_config_rejects_bad_walker_params(self):
-        raw = CorpusConfig(n_human=4, n_robot=2).to_dict()
-        raw["human_template"]["speed_noise_std"] = -0.05
-        with pytest.raises(ValueError, match="speed_noise_std"):
-            CorpusConfig.from_dict(raw)
-
-    def test_walkers_keep_clear_of_obstacle(self):
-        # No walker comes within a disc's radius, whether the disc sits on
-        # the centerline or off it; walkers slip past the one off it.
-        radius = 0.3
-        for centre_y in (0.0, 0.3):
-            corridor = CorridorMap(np.array([[0.0, 0.0], [24.0, 0.0]]), 2.6,
-                                   obstacles=((12.0, centre_y, radius),))
-            for seed in range(5):
-                session = simulate_human(corridor, HumanWalkerParams(seed=seed), 40.0)
-                pos = np.array([msg.position[:2] for msg in session.messages])
-                assert np.linalg.norm(pos - [12.0, centre_y], axis=1).min() > radius
-                if centre_y != 0.0:
-                    assert pos[:, 0].max() > 13.0
 
 
 class TestSimulateRobot:
@@ -354,14 +276,6 @@ class TestCorpus:
         config = CorpusConfig(n_human=4, n_robot=2, duration_s=20.0, seed=3)
         assert _corpus_digest(config, tmp_path / "a") == _corpus_digest(config, tmp_path / "b")
 
-    def test_deterministic_with_companions_and_obstacle(self, tmp_path):
-        base = CorpusConfig().base_map
-        config = CorpusConfig(
-            n_human=4, n_robot=2, duration_s=20.0, seed=3, companions=2,
-            base_map=CorridorMap(base.centerline, base.width, obstacles=((12.0, 8.3, 0.3),)),
-        )
-        assert _corpus_digest(config, tmp_path / "a") == _corpus_digest(config, tmp_path / "b")
-
     def test_total_frame_arithmetic(self):
         # 30 sessions x 180 s = 90 min at 10 Hz -> 54,000 frames.
         config = CorpusConfig(n_human=20, n_robot=10, duration_s=180.0, seed=1)
@@ -369,14 +283,13 @@ class TestCorpus:
         assert sum(len(s.messages) for s in sessions) == 54_000
 
     def test_variants_differ_by_jitter(self):
-        config = CorpusConfig(seed=11, corner_jitter=0.5, width_jitter=0.2)
-        maps = corpus_maps(config)
-        base = config.base_map
+        maps = corpus_maps(11)
+        assert len(maps) == N_MAP_VARIANTS
         for variant in maps:
-            delta = np.abs(variant.centerline - base.centerline)
+            delta = np.abs(variant.centerline - BASE_MAP.centerline)
             assert delta[0].max() == 0.0 and delta[-1].max() == 0.0  # endpoints fixed
-            assert delta[1:-1].max() <= config.corner_jitter + EPS
-            assert abs(variant.width - base.width) <= config.width_jitter + EPS
+            assert delta[1:-1].max() <= CORNER_JITTER_M + EPS
+            assert abs(variant.width - BASE_MAP.width) <= WIDTH_JITTER_M + EPS
         interiors = [tuple(m.centerline[1:-1].ravel()) for m in maps]
         assert len(set(interiors)) == len(maps)  # actually different
 
@@ -385,9 +298,29 @@ class TestCorpus:
             generate_corpus(CorpusConfig(n_human=2, n_robot=1))
 
     def test_config_round_trip(self):
-        config = CorpusConfig(n_human=8, n_robot=4, duration_s=30.0, seed=21, companions=1)
-        again = CorpusConfig.from_dict(config.to_dict())
-        assert again.to_dict() == config.to_dict()
+        config = CorpusConfig(n_human=8, n_robot=4, duration_s=30.0, seed=21)
+        raw = config.to_dict()
+        assert raw == {"n_human": 8, "n_robot": 4, "duration_s": 30.0, "seed": 21}
+        assert CorpusConfig.from_dict(raw) == config
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_human", -3), ("n_human", 6.5), ("n_human", True), ("n_robot", "4"),
+        ("n_robot", None), ("duration_s", math.nan), ("duration_s", math.inf),
+        ("duration_s", -1.0), ("duration_s", 0.0), ("duration_s", "60"), ("duration_s", False),
+        ("seed", 1.5), ("seed", "7"), ("seed", -1), ("seed", None),
+    ])
+    def test_config_rejects_bad_values(self, field, value):
+        # Each of these used to fail later and elsewhere, or not at all: a
+        # negative count in a session id, 6.5 in range(), NaN in int(), and
+        # a negative duration with robots made empty sessions.
+        raw = {"n_human": 4, "n_robot": 2, "duration_s": 20.0, "seed": 3, field: value}
+        with pytest.raises(ConfigError, match=field):
+            CorpusConfig(**raw)
+        with pytest.raises(ConfigError, match=field):
+            CorpusConfig.from_dict(raw)
+
+    def test_config_accepts_whole_seconds(self):
+        assert len(generate_corpus(CorpusConfig(n_human=0, n_robot=6, duration_s=6, seed=0))) == 6
 
     def test_session_ids_and_kinds(self):
         config = CorpusConfig(n_human=4, n_robot=3, duration_s=12.0, seed=2)
@@ -396,8 +329,7 @@ class TestCorpus:
         assert [s.agent_kind for s in sessions] == ["human"] * 4 + ["robot"] * 3
 
     def test_map_variant_determinism(self):
-        base = CorpusConfig().base_map
-        a = map_variant(base, 0.5, 0.2, seed=4)
-        b = map_variant(base, 0.5, 0.2, seed=4)
+        a = map_variant(BASE_MAP, seed=4)
+        b = map_variant(BASE_MAP, seed=4)
         assert np.array_equal(a.centerline, b.centerline)
         assert a.width == b.width

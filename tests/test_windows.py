@@ -1,5 +1,6 @@
 """Windowing and session-level split hygiene."""
 
+import json
 import math
 
 import numpy as np
@@ -148,6 +149,23 @@ class TestSplit:
     def test_json_round_trip(self):
         split = split_sessions(range(12), (0.5, 0.25, 0.25), seed=9)
         assert DatasetSplit.from_json(split.to_json()) == split
+
+    @pytest.mark.parametrize("change,message", [
+        ({"ratios": [0.5, "x"]}, "three finite numbers"),
+        ({"ratios": [0.5, 0.5]}, "three finite numbers"),
+        ({"ratios": [0.5, "x", 0.5]}, "three finite numbers"),
+        ({"ratios": "abc"}, "three finite numbers"),
+        ({"ratios": [0.5, 0.5, 0.5]}, "sum to 1"),
+        ({"ratios": [1.5, -0.5, 0.0]}, "nonnegative"),
+        ({"seed": "abc"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+    ], ids=["two_with_string", "two", "string", "string_of_three", "sum", "negative",
+            "seed_string", "seed_float", "seed_bool"])
+    def test_from_json_applies_split_checks(self, change, message):
+        raw = json.loads(split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json())
+        with pytest.raises(ConfigError, match=message):
+            DatasetSplit.from_json(json.dumps({**raw, **change}))
 
 
 class TestTrajectoryWindow:
