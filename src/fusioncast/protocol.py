@@ -15,9 +15,15 @@ inverses, bit-for-bit on every float.
 Validation runs in each message's constructor, which is also how decode
 builds messages, and once more in encode. That second check is there
 because a frozen dataclass can still be changed through object.__setattr__,
-and no invalid frame may reach the wire. All three calls go through the same
-validators, whose fast path costs one sum per float tuple: a NaN or an
-infinity makes the sum non-finite, and only then is each component checked.
+and no invalid frame may reach the wire; encode re-runs the constructor's own
+checks, never a second validator. The telemetry samples, built several times
+for every recorded frame (simulator, encode, decode), check in one pass:
+their hand-written __init__ takes exact tuples of the right lengths and ints
+in range, tests the position (and a robot's speed and yaw rate) by one sum
+and each unit tuple by one sum of squares, and sets each field once. Any
+other input, or any failed test, goes to the per-field validators below,
+which alone raise, with their errors in their order; their fast path costs
+one sum per float tuple, and only a non-finite sum checks each component.
 A Prediction takes one sum over the floats of all its states, with its
 lengths and theta range checked in the same pass; when any of that fails,
 the per-state checks run and raise what they always raised.
@@ -113,6 +119,14 @@ def _check_unit_tuple(values, n: int, what: str) -> tuple[float, ...]:
     return tuple(v / norm for v in out)
 
 
+# The message constructors' fast path keeps a unit tuple as given only when
+# its squared norm is within this of 1. The norm is then within 5e-13 of 1,
+# inside the 1e-12 at which _check_unit_tuple keeps the components too, by a
+# margin far wider than any rounding of the sum; every other tuple goes to
+# _check_unit_tuple, which renormalizes or raises.
+_FAST_UNIT_TOL = 1e-12
+
+
 def _check_each_finite(values: tuple[float, ...], what: str) -> None:
     """Raise for the first non-finite component. A non-finite sum of finite
     components (an overflow such as 1e308 + 1e308) passes."""
@@ -149,7 +163,7 @@ class SessionEnd:
         _check_uint(self.session_id, 32, "session_id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HeadsetSample:
     timestamp_us: int
     session_id: int
@@ -157,15 +171,40 @@ class HeadsetSample:
     orientation: tuple[float, float, float, float]  # (w, x, y, z), unit
     gaze_local: tuple[float, float, float]  # unit, device-local frame
 
-    def __post_init__(self):
-        _check_uint(self.timestamp_us, 64, "timestamp_us")
-        _check_uint(self.session_id, 32, "session_id")
-        object.__setattr__(self, "position", _check_finite_tuple(self.position, 3, "position"))
-        object.__setattr__(self, "orientation", _check_unit_tuple(self.orientation, 4, "orientation"))
-        object.__setattr__(self, "gaze_local", _check_unit_tuple(self.gaze_local, 3, "gaze_local"))
+    def __init__(self, timestamp_us, session_id, position, orientation, gaze_local):
+        try:
+            fast = (int is type(timestamp_us) is type(session_id) and not timestamp_us >> 64
+                    and not session_id >> 32
+                    and tuple is type(position) is type(orientation) is type(gaze_local))
+            if fast:
+                px, py, pz = position
+                ow, ox, oy, oz = orientation
+                gx, gy, gz = gaze_local
+                px, py, pz = float(px), float(py), float(pz)
+                ow, ox, oy, oz = float(ow), float(ox), float(oy), float(oz)
+                gx, gy, gz = float(gx), float(gy), float(gz)
+                fast = (math.isfinite(px + py + pz)
+                        and abs(ow * ow + ox * ox + oy * oy + oz * oz - 1.0) <= _FAST_UNIT_TOL
+                        and abs(gx * gx + gy * gy + gz * gz - 1.0) <= _FAST_UNIT_TOL)
+        except (TypeError, ValueError, OverflowError):  # the checks below raise it again
+            fast = False
+        if fast:
+            position, orientation, gaze_local = (px, py, pz), (ow, ox, oy, oz), (gx, gy, gz)
+        else:
+            _check_uint(timestamp_us, 64, "timestamp_us")
+            _check_uint(session_id, 32, "session_id")
+            position = _check_finite_tuple(position, 3, "position")
+            orientation = _check_unit_tuple(orientation, 4, "orientation")
+            gaze_local = _check_unit_tuple(gaze_local, 3, "gaze_local")
+        set_field = object.__setattr__
+        set_field(self, "timestamp_us", timestamp_us)
+        set_field(self, "session_id", session_id)
+        set_field(self, "position", position)
+        set_field(self, "orientation", orientation)
+        set_field(self, "gaze_local", gaze_local)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RobotSample:
     timestamp_us: int
     session_id: int
@@ -174,17 +213,39 @@ class RobotSample:
     linear_speed: float  # m/s, >= 0
     yaw_rate: float  # rad/s
 
-    def __post_init__(self):
-        _check_uint(self.timestamp_us, 64, "timestamp_us")
-        _check_uint(self.session_id, 32, "session_id")
-        object.__setattr__(self, "position", _check_finite_tuple(self.position, 3, "position"))
-        object.__setattr__(self, "orientation", _check_unit_tuple(self.orientation, 4, "orientation"))
-        object.__setattr__(self, "linear_speed", float(self.linear_speed))
-        object.__setattr__(self, "yaw_rate", float(self.yaw_rate))
-        if not math.isfinite(self.linear_speed) or self.linear_speed < 0.0:
-            raise ValidationError(f"linear_speed must be finite and >= 0, got {self.linear_speed!r}")
-        if not math.isfinite(self.yaw_rate):
-            raise ValidationError(f"yaw_rate must be finite, got {self.yaw_rate!r}")
+    def __init__(self, timestamp_us, session_id, position, orientation, linear_speed, yaw_rate):
+        try:
+            fast = (int is type(timestamp_us) is type(session_id) and not timestamp_us >> 64
+                    and not session_id >> 32 and tuple is type(position) is type(orientation))
+            if fast:
+                px, py, pz = position
+                ow, ox, oy, oz = orientation
+                px, py, pz = float(px), float(py), float(pz)
+                ow, ox, oy, oz = float(ow), float(ox), float(oy), float(oz)
+                speed, yaw_rate = float(linear_speed), float(yaw_rate)
+                fast = (math.isfinite(px + py + pz + speed + yaw_rate) and speed >= 0.0
+                        and abs(ow * ow + ox * ox + oy * oy + oz * oz - 1.0) <= _FAST_UNIT_TOL)
+        except (TypeError, ValueError, OverflowError):  # the checks below raise it again
+            fast = False
+        if fast:
+            position, orientation = (px, py, pz), (ow, ox, oy, oz)
+        else:
+            _check_uint(timestamp_us, 64, "timestamp_us")
+            _check_uint(session_id, 32, "session_id")
+            position = _check_finite_tuple(position, 3, "position")
+            orientation = _check_unit_tuple(orientation, 4, "orientation")
+            speed, yaw_rate = float(linear_speed), float(yaw_rate)
+            if not math.isfinite(speed) or speed < 0.0:
+                raise ValidationError(f"linear_speed must be finite and >= 0, got {speed!r}")
+            if not math.isfinite(yaw_rate):
+                raise ValidationError(f"yaw_rate must be finite, got {yaw_rate!r}")
+        set_field = object.__setattr__
+        set_field(self, "timestamp_us", timestamp_us)
+        set_field(self, "session_id", session_id)
+        set_field(self, "position", position)
+        set_field(self, "orientation", orientation)
+        set_field(self, "linear_speed", speed)
+        set_field(self, "yaw_rate", yaw_rate)
 
 
 @dataclass(frozen=True)
@@ -257,8 +318,16 @@ def _payload(msg: Message) -> tuple[int, bytes]:
 
 def encode(msg: Message) -> bytes:
     """Encode one message as a length-prefixed frame."""
-    if hasattr(msg, "__post_init__"):
-        msg.__post_init__()  # re-validate: constructors can be bypassed
+    # Re-validate with the constructor's own checks: a frozen message can still
+    # be changed through object.__setattr__.
+    if isinstance(msg, HeadsetSample):
+        msg.__init__(msg.timestamp_us, msg.session_id, msg.position, msg.orientation,
+                     msg.gaze_local)
+    elif isinstance(msg, RobotSample):
+        msg.__init__(msg.timestamp_us, msg.session_id, msg.position, msg.orientation,
+                     msg.linear_speed, msg.yaw_rate)
+    elif hasattr(msg, "__post_init__"):
+        msg.__post_init__()
     tag, payload = _payload(msg)
     length = 1 + len(payload)
     if length > MAX_FRAME_LEN:

@@ -19,7 +19,12 @@ with its own seed. The same config yields byte-identical session files.
 The per-step loops work on Python floats, not 2-vectors: at two components
 numpy's per-call overhead costs more than the arithmetic, and a plain float
 expression rounds the same way everywhere, where a BLAS dot product may fuse
-or reorder it.
+or reorder it. For the same reason they clamp with _clamp, two comparisons
+that return what min(max(x, lo), hi) returns at about a quarter of its cost,
+and a walker projects onto the centerline once per step: the point that
+_advance_walker projects for the wall check is the one _steer_walker steers
+from next, so the walker carries that arc length over, and only a point
+moved by the wall clamp is projected again.
 """
 
 from __future__ import annotations
@@ -55,8 +60,18 @@ TURN_SLOWDOWN = 0.4
 WALL_MARGIN_M = 0.2
 END_MARGIN_M = 0.5
 
-MIN_HUMAN_DURATION_S = (OBS_FRAMES + HORIZON_FRAMES) * SIM_STEP_US / 1_000_000  # one window
+MIN_SESSION_DURATION_S = (OBS_FRAMES + HORIZON_FRAMES) * SIM_STEP_US / 1_000_000  # one window
 MIN_ROUTE_LENGTH_M = 2.0
+
+
+def _clamp(x, lo, hi):
+    """``min(max(x, lo), hi)`` to the bit, NaN, signed zeros and lo > hi
+    included, at about a quarter of the builtins' cost."""
+    if lo > x:
+        x = lo
+    if hi < x:
+        x = hi
+    return x
 
 
 @dataclass
@@ -90,11 +105,11 @@ class CorridorMap:
         return self._cum[-1]
 
     def _segment_of(self, s: float) -> int:
-        s = min(max(s, 0.0), self.total_length)
-        return min(max(bisect_right(self._cum, s) - 1, 0), len(self._segs) - 1)
+        s = _clamp(s, 0.0, self.total_length)
+        return _clamp(bisect_right(self._cum, s) - 1, 0, len(self._segs) - 1)
 
     def point_at(self, s: float) -> tuple[float, float]:
-        s = min(max(s, 0.0), self.total_length)
+        s = _clamp(s, 0.0, self.total_length)
         ax, ay, ux, uy, _length, cum = self._segs[self._segment_of(s)]
         return ax + (s - cum) * ux, ay + (s - cum) * uy
 
@@ -109,7 +124,7 @@ class CorridorMap:
         px, py = float(point[0]), float(point[1])
         best_d2, best_s, best_lateral = math.inf, math.nan, math.nan
         for ax, ay, ux, uy, length, cum in self._segs:
-            t = min(max((px - ax) * ux + (py - ay) * uy, 0.0), length)
+            t = _clamp((px - ax) * ux + (py - ay) * uy, 0.0, length)
             wx = px - (ax + t * ux)
             wy = py - (ay + t * uy)
             d2 = wx * wx + wy * wy
@@ -199,12 +214,17 @@ class _WalkerState:
     direction: int  # +1 toward the far end, -1 back
     params: HumanWalkerParams
     noise: Iterator[float]  # standard normals, drawn in step order
+    # Arc length of (x, y) as _advance_walker projected it, or None when
+    # (x, y) was never projected: at the start and after a wall clamp.
+    s_proj: float | None = None
 
 
 def _steer_walker(corridor: CorridorMap, me: _WalkerState) -> float:
     """Desired heading by pure pursuit, turning around at either end."""
     x, y = me.x, me.y
-    s_proj, _lateral = corridor.project((x, y))
+    s_proj = me.s_proj
+    if s_proj is None:
+        s_proj, _lateral = corridor.project((x, y))
     length = corridor.total_length
     if me.direction > 0 and s_proj >= length - END_MARGIN_M:
         me.direction = -1
@@ -229,15 +249,14 @@ def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None
         psi += params.heading_noise_std * next(me.noise)
     dtheta = wrap_angle(psi - me.theta)
     max_step = WALKER_MAX_YAW_RATE * SIM_DT
-    dtheta = min(max(dtheta, -max_step), max_step)
+    dtheta = _clamp(dtheta, -max_step, max_step)
     me.theta = wrap_angle(me.theta + dtheta)
 
     v_des = params.preferred_speed * (1.0 - TURN_SLOWDOWN * min(1.0, abs(dtheta) / max_step))
     if params.speed_noise_std > 0:
         v_des += params.speed_noise_std * next(me.noise)
-    v_des = min(max(v_des, 0.15), params.preferred_speed * 1.3)
-    dv = min(max(v_des - me.speed, -WALKER_ACCEL * SIM_DT), WALKER_ACCEL * SIM_DT)
-    me.speed += dv
+    v_des = _clamp(v_des, 0.15, params.preferred_speed * 1.3)
+    me.speed += _clamp(v_des - me.speed, -WALKER_ACCEL * SIM_DT, WALKER_ACCEL * SIM_DT)
 
     step = me.speed * SIM_DT
     x, y = me.x + step * math.cos(me.theta), me.y + step * math.sin(me.theta)
@@ -250,15 +269,21 @@ def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None
         cx, cy = corridor.point_at(s_proj)
         offset = math.copysign(max_lat, lateral)
         x, y = cx + offset * -uy, cy + offset * ux
-    me.x, me.y = x, y
+        s_proj = None
+    me.x, me.y, me.s_proj = x, y, s_proj
+
+
+def _check_duration(duration_s: float) -> None:
+    """Every simulated session, human or robot, holds at least one window."""
+    if duration_s < MIN_SESSION_DURATION_S:
+        raise ValueError(f"duration must be >= {MIN_SESSION_DURATION_S} s, got {duration_s}")
 
 
 def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s: float,
                    session_id: int = 1, label: str = "") -> Session:
     """Generate one walker, starting at the near end, as a Session of headset
     samples."""
-    if duration_s < MIN_HUMAN_DURATION_S:
-        raise ValueError(f"duration must be >= {MIN_HUMAN_DURATION_S} s, got {duration_s}")
+    _check_duration(duration_s)
     if corridor.total_length < MIN_ROUTE_LENGTH_M:
         raise GenerationError(
             f"corridor length {corridor.total_length:.2f} m has no traversable route"
@@ -303,6 +328,7 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
 def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: float,
                    session_id: int = 1, label: str = "") -> Session:
     """Drive waypoints with clamped yaw rate and accel-limited speed."""
+    _check_duration(duration_s)
     if not params.waypoints:
         raise GenerationError("robot run needs at least one waypoint")
     for idx, wp in enumerate(params.waypoints):
@@ -351,8 +377,8 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
                 if target_idx >= len(wps):
                     v_des = 0.0
                     dtheta = 0.0
-                    speed += min(max(v_des - speed, -params.max_accel * SIM_DT),
-                                 params.max_accel * SIM_DT)
+                    speed += _clamp(v_des - speed, -params.max_accel * SIM_DT,
+                                    params.max_accel * SIM_DT)
                     yaw_rate = 0.0
                     continue
                 dx, dy = wps[target_idx][0] - x, wps[target_idx][1] - y
@@ -368,7 +394,7 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
 
             desired_heading = math.atan2(dy, dx) if dist > 1e-9 else theta
             heading_err = wrap_angle(desired_heading - theta)
-            dtheta = min(max(heading_err, -max_dstep), max_dstep)
+            dtheta = _clamp(heading_err, -max_dstep, max_dstep)
 
             remaining = dist
             for leg in legs[target_idx:]:
@@ -379,7 +405,7 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
 
         theta = wrap_angle(theta + dtheta)
         yaw_rate = dtheta / SIM_DT
-        speed += min(max(v_des - speed, -params.max_accel * SIM_DT), params.max_accel * SIM_DT)
+        speed += _clamp(v_des - speed, -params.max_accel * SIM_DT, params.max_accel * SIM_DT)
         step = speed * SIM_DT
         x, y = x + step * math.cos(theta), y + step * math.sin(theta)
     session.end()

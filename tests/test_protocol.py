@@ -1,5 +1,6 @@
 """Wire format: framing, round-trips, and hostile-input behavior."""
 
+import dataclasses
 import math
 import struct
 import time
@@ -388,6 +389,192 @@ def _prediction_cases(rng):
         ((0.0, 0.0, 0.0),) * 65536,
     ]
     return cases
+
+
+def _old_headset_fields(timestamp_us, session_id, position, orientation, gaze_local):
+    """The fields as the HeadsetSample.__post_init__ that the one-pass
+    constructor replaced left them, kept as its oracle."""
+    protocol._check_uint(timestamp_us, 64, "timestamp_us")
+    protocol._check_uint(session_id, 32, "session_id")
+    return (timestamp_us, session_id,
+            protocol._check_finite_tuple(position, 3, "position"),
+            protocol._check_unit_tuple(orientation, 4, "orientation"),
+            protocol._check_unit_tuple(gaze_local, 3, "gaze_local"))
+
+
+def _old_robot_fields(timestamp_us, session_id, position, orientation, linear_speed, yaw_rate):
+    """As above, for the RobotSample.__post_init__ it replaced."""
+    protocol._check_uint(timestamp_us, 64, "timestamp_us")
+    protocol._check_uint(session_id, 32, "session_id")
+    position = protocol._check_finite_tuple(position, 3, "position")
+    orientation = protocol._check_unit_tuple(orientation, 4, "orientation")
+    linear_speed, yaw_rate = float(linear_speed), float(yaw_rate)
+    if not math.isfinite(linear_speed) or linear_speed < 0.0:
+        raise ValidationError(f"linear_speed must be finite and >= 0, got {linear_speed!r}")
+    if not math.isfinite(yaw_rate):
+        raise ValidationError(f"yaw_rate must be finite, got {yaw_rate!r}")
+    return timestamp_us, session_id, position, orientation, linear_speed, yaw_rate
+
+
+def _field_bits(value):
+    """A field's exact content: float bits, or the type and value of anything else."""
+    if type(value) is tuple:
+        return tuple(map(_field_bits, value))
+    if type(value) is float:
+        return struct.pack("<d", value)
+    return type(value), value
+
+
+def _sample_outcome(make):
+    """The bits of what ``make`` returns, or the type and text of what it raised."""
+    try:
+        out = make()
+    except Exception as exc:  # noqa: BLE001 - the oracle's exceptions are compared too
+        return type(exc), str(exc)
+    return _field_bits(out)
+
+
+_HEADSET_FIELDS = ("timestamp_us", "session_id", "position", "orientation", "gaze_local")
+_ROBOT_FIELDS = ("timestamp_us", "session_id", "position", "orientation",
+                 "linear_speed", "yaw_rate")
+
+
+def _sample_cases(rng):
+    """(kind, args) for HeadsetSample and RobotSample; each argument is a
+    factory, so that a generator is fresh for every call. Each case puts
+    one edge into one field of a valid message."""
+    import numpy as np
+
+    clean = {"timestamp_us": 1_600_000_000_000_000, "session_id": 7,
+             "position": (1.5, -2.5, 1.6), "orientation": (0.6, 0.0, 0.0, 0.8),
+             "gaze_local": (0.0, 0.6, 0.8), "linear_speed": 1.25, "yaw_rate": -0.5}
+    tuple_edges = [values for values, _ in _validator_cases(rng)[::7]]
+    for scale in (1e-6, 1e-12):
+        for factor in (0.5, 0.999, 1.0, 1.001, 2.0):
+            for sign in (-1.0, 1.0):
+                norm = 1.0 + sign * scale * factor
+                tuple_edges += [(0.6 * norm, 0.0, 0.0, 0.8 * norm), (0.0, 0.6 * norm, 0.8 * norm)]
+                # Squared norms at the fast path's own limit.
+                root = math.sqrt(1.0 + sign * scale * factor)
+                tuple_edges += [(0.6 * root, 0.0, 0.0, 0.8 * root), (0.0, 0.6 * root, 0.8 * root)]
+    tuple_edges += [
+        [1.5, -2.5, 1.6], [0.6, 0.0, 0.0, 0.8], [0.0, 0.6, 0.8],
+        np.array([1.5, -2.5, 1.6]), np.array([0.6, 0.0, 0.0, 0.8]), np.array([0.0, 0.6, 0.8]),
+        np.array([0.0, 0.6, 0.8], dtype=np.float32), np.float64(1.0), 1.0, None,
+        (True, False, False), (True, False, False, False), (1, 0, 0), (1, 0, 0, 0),
+        (np.int64(1), 0, 0, 0), (np.float64(0.6), np.float64(0.8), np.float64(0.0)),
+        ("0.6", "0.8", "0"), ("0.6", "0.8", "0", "0"), "abc", "abcd", ("x", 0.0, 0.0),
+        (0.6, 0.8, "x", "y"), (0.6, 0.8), (0.6, 0.8, 0.0, 0.0, 0.0), (),
+        (10 ** 400, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.6, -0.0, -0.0, -0.8),
+    ]
+    scalar_edges = [0.0, -0.0, 1.0, -1.0, 1e308, -1e-320, math.nan, math.inf, -math.inf, 2,
+                    True, np.float32(0.5), np.float64(-0.25), np.int64(3), "1.5", "x", None,
+                    10 ** 400]
+    int_edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, -1, -(2 ** 64), True, False,
+                 np.int64(5), np.uint32(5), 5.0, "5", None, 2 ** 200]
+    edges = {"timestamp_us": int_edges, "session_id": int_edges, "position": tuple_edges,
+             "orientation": tuple_edges, "gaze_local": tuple_edges,
+             "linear_speed": scalar_edges, "yaw_rate": scalar_edges}
+    cases = []
+    for kind, names in (("headset", _HEADSET_FIELDS), ("robot", _ROBOT_FIELDS)):
+        for name in names:
+            for value in edges[name]:
+                args = [lambda v=clean[n]: v for n in names]
+                args[names.index(name)] = lambda v=value: v
+                cases.append((kind, args))
+                if type(value) in (tuple, list) and value:
+                    args = list(args)
+                    args[names.index(name)] = lambda v=value: (c for c in v)
+                    cases.append((kind, args))
+        # Two bad fields at once: the first in the old order raises.
+        args = [lambda v=clean[n]: v for n in names]
+        args[names.index("orientation")] = lambda: (2.0, 0.0, 0.0, 0.0)
+        args[names.index("position")] = lambda: (math.nan, 0.0, 0.0)
+        cases.append((kind, args))
+    return cases
+
+
+class TestSampleFastPath:
+    KINDS = {"headset": (HeadsetSample, _old_headset_fields, _HEADSET_FIELDS),
+             "robot": (RobotSample, _old_robot_fields, _ROBOT_FIELDS)}
+
+    def test_constructor_and_encode_match_old_post_init(self):
+        import numpy as np
+
+        outcomes = {"accepted": 0, "rejected": 0}
+        for kind, args in _sample_cases(np.random.default_rng(137)):
+            cls, oracle, names = self.KINDS[kind]
+            values = [make() for make in args]
+            want = _sample_outcome(lambda: oracle(*(make() for make in args)))
+            got = _sample_outcome(lambda: dataclasses.astuple(cls(*(make() for make in args))))
+            assert got == want, (kind, values)
+
+            # encode re-runs the same checks on fields swapped in after construction.
+            msg = _valid_headset() if kind == "headset" else _valid_robot()
+            for name, make in zip(names, args):
+                object.__setattr__(msg, name, make())
+            got = _sample_outcome(lambda: (encode(msg), *dataclasses.astuple(msg)))
+            if isinstance(want[0], type):
+                outcomes["rejected"] += 1
+            else:
+                outcomes["accepted"] += 1
+                fields = oracle(*(make() for make in args))
+                want = _field_bits((encode(cls(*fields)), *fields))
+            assert got == want, (kind, values)
+        assert min(outcomes.values()) > 300
+
+    def test_clean_messages_skip_tuple_validators(self, monkeypatch):
+        calls = []
+        for name in ("_check_finite_tuple", "_check_unit_tuple"):
+            real = getattr(protocol, name)
+            monkeypatch.setattr(protocol, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for msg in (_valid_headset(), _valid_robot(),
+                    HeadsetSample(2 ** 64 - 1, 2 ** 32 - 1, (-0.0, 1e300, -1e300),
+                                  (0.5, 0.5, 0.5, 0.5), (0.6, 0.0, -0.8)),
+                    RobotSample(0, 0, (1.0, 2.0, 3.0), (0.0, 0.0, 0.6, 0.8), 0.0, -3.0)):
+            frame = encode(msg)
+            assert decode(frame) == (msg, len(frame))
+        assert calls == []
+        HeadsetSample(1, 2, (0.0, 0.0, 1.6), (1.0, 0.0, 0.0, 1e-4), (0.0, 0.0, 1.0))
+        assert calls == ["_check_finite_tuple", "_check_unit_tuple", "_check_unit_tuple"]
+
+    def test_dataclass_behaviour_unchanged(self):
+        import copy
+        import pickle
+
+        msg = HeadsetSample(1, 2, (0.0, 0.0, 1.6), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        assert repr(msg) == ("HeadsetSample(timestamp_us=1, session_id=2, position=(0.0, 0.0, 1.6), "
+                             "orientation=(1.0, 0.0, 0.0, 0.0), gaze_local=(0.0, 0.0, 1.0))")
+        robot = RobotSample(1, 2, (0, 0, 0.5), (1, 0, 0, 0), 1, 0)
+        assert repr(robot) == ("RobotSample(timestamp_us=1, session_id=2, position=(0.0, 0.0, 0.5), "
+                               "orientation=(1.0, 0.0, 0.0, 0.0), linear_speed=1.0, yaw_rate=0.0)")
+        for sample in (msg, robot):
+            fields = dataclasses.astuple(sample)
+            assert hash(sample) == hash(fields)
+            assert sample == type(sample)(*fields) and sample != Hello()
+            assert sample == type(sample)(**dataclasses.asdict(sample))
+            assert sample != dataclasses.replace(sample, session_id=3)
+            assert dataclasses.replace(sample, session_id=3).session_id == 3
+            with pytest.raises(ValidationError, match="orientation norm"):
+                dataclasses.replace(sample, orientation=(2.0, 0.0, 0.0, 0.0))
+            for copied in (pickle.loads(pickle.dumps(sample)), copy.copy(sample),
+                           copy.deepcopy(sample)):
+                assert copied == sample and _field_bits(dataclasses.astuple(copied)) == \
+                    _field_bits(fields)
+            for name in ("position", "session_id"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(sample, name, 1)
+            # A new attribute is refused as well; Python 3.11's slotted frozen
+            # dataclasses raise TypeError for it, not FrozenInstanceError.
+            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+                sample.extra = 1
+            assert not hasattr(sample, "extra")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del sample.position
+        assert msg != RobotSample(1, 2, (0.0, 0.0, 1.6), (1.0, 0.0, 0.0, 0.0), 0.0, 0.0)
+        assert [f.name for f in dataclasses.fields(RobotSample)] == list(_ROBOT_FIELDS)
+        assert HeadsetSample.__match_args__ == _HEADSET_FIELDS
 
 
 class TestRoundTrip:

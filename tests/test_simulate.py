@@ -1,6 +1,7 @@
 """Synthetic session generation: walkers, robots, corpus reproducibility."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -12,12 +13,15 @@ from fusioncast.sessions import save_session
 from fusioncast.simulate import (
     BASE_MAP,
     CORNER_JITTER_M,
+    MIN_SESSION_DURATION_S,
     N_MAP_VARIANTS,
+    WALL_MARGIN_M,
     WIDTH_JITTER_M,
     CorpusConfig,
     CorridorMap,
     HumanWalkerParams,
     RobotRunParams,
+    _clamp,
     corpus_maps,
     generate_corpus,
     map_variant,
@@ -128,6 +132,17 @@ class TestCorridorMap:
         assert corridor.project((8.0, 0.0)) == (8.0, 0.0)
 
 
+class TestClamp:
+    def test_returns_what_min_of_max_returns(self):
+        # The builtins return one of their arguments, so identity is bit for
+        # bit and type for type: NaN anywhere, -0.0 beside 0.0, ints beside
+        # floats, and lo > hi, where hi wins.
+        values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0, 1, -1, 0.5, -0.5, 2.0, 1e-320,
+                  True]
+        for x, lo, hi in itertools.product(values, repeat=3):
+            assert _clamp(x, lo, hi) is min(max(x, lo), hi), (x, lo, hi)
+
+
 class TestSimulateHuman:
     def test_straight_zero_noise(self):
         params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0)
@@ -189,6 +204,56 @@ class TestSimulateHuman:
         with pytest.raises(ValueError):
             simulate_human(_straight(), HumanWalkerParams(), 2.0)
 
+    # (map seed, width, heading_noise_std, seed) of a 30 s walk on a corridor
+    # squeezed so narrow that the walker hits the walls, and the SHA-256 of
+    # its saved session, recorded before the walker kept its projection
+    # between steps. Map seed None is BASE_MAP's own centerline. On its axis-
+    # aligned segments a clamped point projects to the same bits as the point
+    # before the clamp; on the jittered variant it often does not, so only
+    # the last walk pins that the projection is taken again after a clamp.
+    WALL_CLAMP_WALKS = [
+        (None, 0.6, 0.3, 3, "117a16e68e06837aba63a24d057ead4e5d3870489d42bc596bd4dccf0ff3bf60"),
+        (None, 0.45, 1.0, 4, "60224aaf47feeb20ddf6b84a8fd24fef08ec2aea1bcc9937a1ee7c3ac178d49f"),
+        (None, 0.5, 0.3, 5, "76f3148f761a5e3388ece195505fae71786488dd5813442389e3a1541a96ea8f"),
+        (3, 0.45, 0.3, 3, "a01912adcdc3bdf2d22f04143ac7af4c4710709c47890514360dabd19854bcbc"),
+    ]
+
+    @staticmethod
+    def _narrow_walk(map_seed, width, noise, seed):
+        base = BASE_MAP if map_seed is None else map_variant(BASE_MAP, seed=map_seed)
+        corridor = CorridorMap(base.centerline, width)
+        params = HumanWalkerParams(heading_noise_std=noise, seed=seed)
+        return corridor, simulate_human(corridor, params, 30.0)
+
+    @pytest.mark.parametrize("map_seed,width,noise,seed,digest", WALL_CLAMP_WALKS)
+    def test_wall_clamped_walk_pinned(self, tmp_path, map_seed, width, noise, seed, digest):
+        corridor, session = self._narrow_walk(map_seed, width, noise, seed)
+        max_lat = width / 2 - WALL_MARGIN_M
+        at_wall = sum(abs(abs(corridor.project(msg.position[:2])[1]) - max_lat) < 1e-9
+                      for msg in session.messages)
+        assert at_wall >= 30  # the clamp branch ran
+        save_session(session, tmp_path / "walk.fcs")
+        assert hashlib.sha256((tmp_path / "walk.fcs").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("map_seed,width,noise,seed", [
+        (None, BASE_MAP.width, 0.05, 0), *(walk[:4] for walk in WALL_CLAMP_WALKS)])
+    def test_one_projection_per_step(self, monkeypatch, map_seed, width, noise, seed):
+        # A step projects the walker's new point once for the wall check and
+        # steering reuses it; only a clamped point is projected again. The
+        # clamp branch is the only caller of tangent_at after the start.
+        counts = {"project": 0, "tangent_at": 0}
+        for name in counts:
+            real = getattr(CorridorMap, name)
+
+            def counting(self, arg, real=real, name=name):
+                counts[name] += 1
+                return real(self, arg)
+            monkeypatch.setattr(CorridorMap, name, counting)
+        _corridor, session = self._narrow_walk(map_seed, width, noise, seed)
+        clamps = counts["tangent_at"] - 1
+        assert counts["project"] <= len(session.messages) + clamps + 1
+        assert (clamps > 0) == (width < BASE_MAP.width)
+
     def test_degenerate_map_rejected(self):
         tiny = CorridorMap(np.array([[0.0, 0.0], [0.5, 0.0]]), 2.0)
         with pytest.raises(GenerationError):
@@ -222,6 +287,16 @@ class TestSimulateRobot:
         speeds = np.array([m.linear_speed for m in session.messages])
         assert np.linalg.norm(pos[-1] - [10.0, 0.0]) < 0.05
         assert speeds.max() <= params.cruise_speed + EPS
+
+    def test_short_duration_rejected(self):
+        # Like a walker, a robot session must hold at least one window.
+        params = RobotRunParams(waypoints=((0.0, 0.0), (10.0, 0.0)))
+        for duration in (0.04, 1.0, MIN_SESSION_DURATION_S - 0.01):
+            with pytest.raises(ValueError, match="duration"):
+                simulate_robot(_straight(), params, duration)
+        with pytest.raises(ValueError, match="duration"):
+            generate_corpus(CorpusConfig(n_human=0, n_robot=6, duration_s=1.0, seed=0))
+        assert len(simulate_robot(_straight(), params, MIN_SESSION_DURATION_S).messages) == 60
 
     def test_empty_waypoints_rejected(self):
         with pytest.raises(GenerationError):
