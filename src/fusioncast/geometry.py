@@ -65,9 +65,11 @@ def heading_and_rotate(q, v=None) -> tuple[float | None, tuple[float, float, flo
 class AgentState:
     """Planar pose (x, y, heading). Heading is wrapped to (-pi, pi] on construction.
 
-    Built for every aligned frame and predicted step, so the check is one
-    isfinite per field, not a sum as in ``protocol``: a sum of numpy scalars
-    warns on overflow, and a sum after float() would accept numeric strings.
+    The check is one isfinite per field, not a sum as in ``protocol``: a sum
+    of numpy scalars warns on overflow, and a sum after float() would accept
+    numeric strings. The aligner and ``predict`` skip it: they build their
+    states with ``_checked_state`` from values checked where they came in
+    (a message's position, one isfinite of a whole forecast).
     """
 
     x: float
@@ -82,3 +84,15 @@ class AgentState:
         object.__setattr__(self, "x", float(x))
         object.__setattr__(self, "y", float(y))
         object.__setattr__(self, "theta", wrap_angle(float(theta)))
+
+
+_set_x, _set_y, _set_theta = (getattr(AgentState, f).__set__ for f in ("x", "y", "theta"))
+
+
+def _checked_state(x: float, y: float, theta: float) -> AgentState:
+    """An AgentState of floats already checked finite, ``theta`` already wrapped."""
+    state = object.__new__(AgentState)
+    _set_x(state, x)
+    _set_y(state, y)
+    _set_theta(state, theta)
+    return state

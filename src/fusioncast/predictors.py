@@ -5,7 +5,8 @@ gaze)``: observed positions (..., T, 2), headings (..., T) and gaze xy
 (..., T, 2) with any leading axes map to world-frame future positions
 (..., horizon, 2). ``predict`` serves one window on top of it, taking each
 predicted step's position and heading from the forecast array: the heading is
-the course of the step, carried over steps that stand still.
+the course of the step, carried over steps that stand still. One isfinite call
+checks the whole forecast, and the steps are built unchecked after it.
 
 - ConstantVelocityPredictor: extrapolates the mean velocity of the last few
   observed frames. Sanity floor for the displacement metrics.
@@ -35,11 +36,12 @@ import json
 import struct
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import AgentState, wrap_angle
+from .geometry import AgentState, _checked_state, wrap_angle
 from .sessions import GRID_PERIOD_US
 from .windows import HORIZON_FRAMES, FeatureConfig, TrajectoryWindow
 
@@ -63,12 +65,16 @@ def window_arrays(windows, config: FeatureConfig, future: bool = False):
             raise ConfigError(f"window config {w.feature_config.value} != requested {config.value}")
         if future and not w.future:
             raise ValueError("window has no future frames")
-    obs = np.array([[(f.state.x, f.state.y, f.state.theta) for f in w.observed] for w in windows])
     gaze = fut = None
-    if config.uses_gaze:
-        if any(f.gaze_world is None for w in windows for f in w.observed):
-            raise ConfigError("window has no gaze channel but gaze features were requested")
-        gaze = np.array([[f.gaze_world for f in w.observed] for w in windows])[..., :2]
+    if config.uses_gaze:  # x, y, theta and gaze in one array
+        try:
+            obs = np.array([[(f.state.x, f.state.y, f.state.theta, *f.gaze_world)
+                             for f in w.observed] for w in windows])
+        except TypeError:  # a gaze_world of None
+            raise ConfigError("window has no gaze channel but gaze features were requested") from None
+        gaze = obs[..., 3:5]
+    else:
+        obs = np.array([[(f.state.x, f.state.y, f.state.theta) for f in w.observed] for w in windows])
     if future:
         fut = np.array([[(f.state.x, f.state.y) for f in w.future] for w in windows])
     return obs[..., :2], obs[..., 2], gaze, fut
@@ -94,11 +100,13 @@ def _travel_heading(initial, dp: np.ndarray) -> np.ndarray:
     """Direction of travel atan2(dy, dx) after each displacement (..., M, 2).
     Steps under 1e-9 m carry the previous value forward, starting from
     ``initial`` (...), which keeps it defined and rotation-equivariant."""
-    start = np.broadcast_to(np.asarray(initial)[..., None], dp.shape[:-2] + (1,))
-    values = np.concatenate([start, np.arctan2(dp[..., 1], dp[..., 0])], axis=-1)
+    steps = dp.shape[-2]
+    values = np.empty(dp.shape[:-2] + (steps + 1,))
+    values[..., 0] = initial
+    np.arctan2(dp[..., 1], dp[..., 0], out=values[..., 1:])
     moving = np.hypot(dp[..., 0], dp[..., 1]) >= 1e-9
-    last = np.maximum.accumulate(np.where(moving, np.arange(1, dp.shape[-2] + 1), 0), axis=-1)
-    return np.take_along_axis(values, last, axis=-1)
+    last = np.maximum.accumulate(moving * np.arange(1, steps + 1), axis=-1)
+    return values[last] if last.ndim == 1 else np.take_along_axis(values, last, axis=-1)
 
 
 def _features(pos, theta, gaze, config: FeatureConfig) -> np.ndarray:
@@ -106,7 +114,7 @@ def _features(pos, theta, gaze, config: FeatureConfig) -> np.ndarray:
     module docstring); leading axes broadcast."""
     dp = np.zeros(pos.shape)
     dp[..., 1:, :] = pos[..., 1:, :] - pos[..., :-1, :]
-    speed = np.linalg.norm(dp, axis=-1) / FRAME_DT
+    speed = np.sqrt(np.add.reduce(dp * dp, axis=-1)) / FRAME_DT  # np.linalg.norm's own formula
     heading_delta = np.zeros(theta.shape)
     heading_delta[..., 1:] = wrap_angle(theta[..., 1:] - theta[..., :-1])
     rel_dp = _rotate(dp, -theta[..., -1])
@@ -119,7 +127,7 @@ def _features(pos, theta, gaze, config: FeatureConfig) -> np.ndarray:
         gaze_yaw = np.where(np.hypot(gx, gy) < 1e-6, theta, np.arctan2(gy, gx))
         cols += [wrap_angle(theta - course), wrap_angle(gaze_yaw - course)]
     # theta may have fewer leading axes than pos (one window, many jitters).
-    feats = np.empty(np.broadcast_shapes(*(col.shape for col in cols)) + (config.channels,))
+    feats = np.empty(np.broadcast(*cols).shape + (config.channels,))
     for i, col in enumerate(cols):
         feats[..., i] = col
     return feats.reshape(feats.shape[:-2] + (-1,))
@@ -143,19 +151,17 @@ def ensemble_jitter(seed, k: int, sigma: float, obs: int) -> np.ndarray:
 
 
 def _states(xy: np.ndarray, origin: np.ndarray, theta_ref) -> list[AgentState]:
-    """AgentStates along predicted positions (H, 2), headed as _travel_heading
-    heads the steps from ``origin``, the last observed position. The courses
-    come from one numpy arctan2 call: math.atan2 can differ in the last bit."""
-    dp = np.diff(xy, axis=0, prepend=origin[None])
-    course = np.arctan2(dp[:, 1], dp[:, 0]).tolist()
-    moving = (np.hypot(dp[:, 0], dp[:, 1]) >= 1e-9).tolist()
-    heading = float(theta_ref)
-    states = []
-    for x, y, c, m in zip(*xy.T.tolist(), course, moving):
-        if m:
-            heading = c
-        states.append(AgentState(x, y, heading))
-    return states
+    """AgentStates along predicted positions (H, 2), headed by _travel_heading
+    from ``origin``, the last observed position, and ``theta_ref``. One
+    isfinite checks them all; when it fails, the per-state checks raise."""
+    dp = np.empty(xy.shape)
+    dp[0] = xy[0] - origin
+    np.subtract(xy[1:], xy[:-1], out=dp[1:])
+    heading = _travel_heading(theta_ref, dp)
+    xs, ys = xy.T.tolist()
+    if not (np.isfinite(xy).all() and np.isfinite(theta_ref)):
+        return [AgentState(*state) for state in zip(xs, ys, heading.tolist())]
+    return list(map(_checked_state, xs, ys, wrap_angle(heading).tolist()))
 
 
 class _Forecaster:
@@ -202,6 +208,13 @@ class RidgeModel(_Forecaster):
     horizon: int
 
     def __post_init__(self):
+        lam = self.lam
+        if not (isinstance(lam, Real) and not isinstance(lam, bool) and np.isfinite(lam) and lam >= 0):
+            raise ValidationError(f"ridge lam must be a finite real >= 0, got {lam!r}")
+        for name in ("obs_frames", "horizon"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
+                raise ValidationError(f"{name} must be a positive int, got {value!r}")
         dims = self.obs_frames * self.feature_config.channels
         lengths = (len(self.mean), len(self.std), len(self.kept))
         if set(lengths) != {dims}:

@@ -27,8 +27,8 @@ one sum per float tuple, and only a non-finite sum checks each component.
 A Prediction takes one sum over the floats of all its states, with its
 lengths and theta range checked in the same pass; when any of that fails,
 the per-state checks run and raise what they always raised.
-geometry.AgentState, built for every aligned frame and predicted step, is
-just as cheap with one isfinite call per field.
+geometry.AgentState checks with one isfinite call per field; the aligned
+frames and predicted steps skip even that, as their values were checked once.
 
 Payloads:
 

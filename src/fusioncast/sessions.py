@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import protocol
 from .errors import OrderingError, ProtocolError
-from .geometry import AgentState, heading_and_rotate
+from .geometry import AgentState, _checked_state, heading_and_rotate, wrap_angle
 from .protocol import (
     AGENT_HUMAN,
     AGENT_ROBOT,
@@ -113,7 +113,7 @@ class Session:
         self.ended = True
 
 
-@dataclass
+@dataclass(slots=True)
 class AlignedFrame:
     """One grid point after alignment. Gap frames carry the previous state
     (if the gap is short) and are flagged; windows never include them."""
@@ -163,11 +163,13 @@ class GridAligner:
         if not isinstance(msg, self._sample_type):
             raise ValueError(f"{self.agent_kind} aligner takes "
                              f"{self._sample_type.__name__} messages, got {msg!r}")
-        _check_next_timestamp(self._last_ts, msg)
-        self._buf.append(msg)
+        ts = msg.timestamp_us
         if self._grid_ts is None:
-            self._grid_ts = msg.timestamp_us
-        self._last_ts = msg.timestamp_us
+            self._grid_ts = ts
+        elif not 0 < ts - self._last_ts <= MAX_GAP_US:
+            _check_next_timestamp(self._last_ts, msg)  # raises
+        self._buf.append(msg)
+        self._last_ts = ts
         out = []
         while self._last_ts >= self._grid_ts + GRID_TOLERANCE_US:
             out.append(self._emit())
@@ -219,18 +221,16 @@ class GridAligner:
             heading = self._prev_heading
             self.heading_carries += 1
 
-        state = AgentState(msg.position[0], msg.position[1], heading)
+        x, y, _ = msg.position
+        if x - x == 0.0 and y - y == 0.0:  # finite, as the message checked
+            state = _checked_state(x, y, wrap_angle(heading))
+        else:  # a message changed after its checks: AgentState raises
+            state = AgentState(x, y, heading)
         self._gap_run = 0
         self._prev_state = state
         self._prev_gaze = gaze_world
         self._prev_heading = heading
-        return AlignedFrame(
-            timestamp_us=grid_ts,
-            state=state,
-            gaze_world=gaze_world,
-            source_pose_ts=msg.timestamp_us,
-            heading_carried=heading_carried,
-        )
+        return AlignedFrame(grid_ts, state, gaze_world, msg.timestamp_us, False, heading_carried)
 
     def _emit_gap(self, grid_ts: int) -> AlignedFrame:
         self._gap_run += 1

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -436,8 +436,12 @@ class CorpusConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CorpusConfig":
-        return cls(n_human=raw["n_human"], n_robot=raw["n_robot"],
-                   duration_s=raw["duration_s"], seed=raw["seed"])
+        if not isinstance(raw, dict):
+            raise ConfigError(f"corpus config must be a dict, got {raw!r}")
+        names = {f.name for f in fields(cls)}
+        for key in sorted(names ^ raw.keys(), key=str):  # names the first wrong key
+            raise ConfigError(f"corpus config key {key!r} is {'missing' if key in names else 'unknown'}")
+        return cls(**raw)
 
 
 def _derived_seed(master: int, stream: int, index: int) -> int:

@@ -127,15 +127,22 @@ class DatasetSplit:
     @classmethod
     def from_json(cls, text: str) -> "DatasetSplit":
         raw = json.loads(text)
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"split seed must be an int, got {seed!r}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"split file must hold a JSON object, got {type(raw).__name__}")
+        for key in ("train", "validation", "test", "ratios", "seed"):
+            if key not in raw:
+                raise ConfigError(f"split file has no {key!r} key")
+        for key in ("train", "validation", "test"):
+            if not (isinstance(raw[key], list) and all(type(i) is int for i in raw[key])):
+                raise ConfigError(f"split {key!r} must be a list of int session ids, got {raw[key]!r}")
+        if type(raw["seed"]) is not int:
+            raise ConfigError(f"split 'seed' must be an int, got {raw['seed']!r}")
         return cls(
             train=tuple(raw["train"]),
             validation=tuple(raw["validation"]),
             test=tuple(raw["test"]),
             ratios=_checked_ratios(raw["ratios"]),
-            seed=seed,
+            seed=raw["seed"],
         )
 
 

@@ -1,0 +1,189 @@
+"""The live path, pinned to the bit, and its checks.
+
+Aligned frames and predicted steps are built from values checked where they
+came in (the message constructor, one finiteness test of the forecast), not
+checked again state by state. The digests pin the bits of that path; the
+other tests show that the checks still raise where they always did.
+"""
+
+import functools
+import hashlib
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from fusioncast.errors import ValidationError
+from fusioncast.geometry import AgentState, quaternion_from_yaw
+from fusioncast.predictors import ConstantVelocityPredictor, fit_ridge
+from fusioncast.protocol import HeadsetSample, Prediction, RobotSample, encode
+from fusioncast.sessions import GRID_PERIOD_US, GridAligner, Session, resample
+from fusioncast.simulate import CorpusConfig, generate_corpus
+from fusioncast.windows import FeatureConfig, segment
+
+CONFIGS = {"human": FeatureConfig.POSE_HEAD_GAZE, "robot": FeatureConfig.ROBOT_POSE_ONLY}
+# Forward axis pitched straight down: no heading, so the aligner carries one.
+VERTICAL = (math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0)
+
+
+def _with_holes(session):
+    """``session`` with two short and one long run of messages dropped (gap
+    frames, bridged and empty) and two vertical orientations (heading
+    carries)."""
+    out = Session(session.session_id, session.agent_kind, session.label)
+    for i, msg in enumerate(session.messages):
+        if 30 <= i < 32 or 70 <= i < 73 or 110 <= i < 118:
+            continue
+        if i in (50, 51):
+            fields = (msg.timestamp_us, msg.session_id, msg.position, VERTICAL)
+            if isinstance(msg, HeadsetSample):
+                msg = HeadsetSample(*fields, msg.gaze_local)
+            else:
+                msg = RobotSample(*fields, msg.linear_speed, msg.yaw_rate)
+        out.ingest(msg)
+    out.end()
+    return out
+
+
+@functools.cache
+def _corpus():
+    stream = [_with_holes(s) for s in generate_corpus(CorpusConfig(3, 3, 20.0, seed=41))]
+    models = {}
+    train = generate_corpus(CorpusConfig(4, 3, 40.0, seed=42))
+    for kind, config in CONFIGS.items():
+        windows = [w for s in train if s.agent_kind == kind
+                   for w in segment(resample(s).frames, s.session_id, config)]
+        models[kind] = fit_ridge(windows, config, lam=1.0)
+    return stream, models
+
+
+def _frame_bits(frame) -> bytes:
+    state = b"-" if frame.state is None else struct.pack(
+        "<3d", frame.state.x, frame.state.y, frame.state.theta)
+    gaze = b"-" if frame.gaze_world is None else struct.pack("<3d", *frame.gaze_world)
+    source = -1 if frame.source_pose_ts is None else frame.source_pose_ts
+    return struct.pack("<qq??", frame.timestamp_us, source, frame.is_gap,
+                       frame.heading_carried) + state + gaze
+
+
+class TestPinnedBits:
+    # SHA-256 digests recorded from an earlier build of the package; any
+    # change that moves one bit of an aligned frame or a prediction fails
+    # here. As with the saved-session digests, the floats come from libm, so
+    # a platform with a different libm may need its own digests.
+
+    def test_aligned_frames_pinned(self):
+        digest = hashlib.sha256()
+        gaps = carries = 0
+        for session in _corpus()[0]:
+            result = resample(session)
+            gaps += result.gap_frames
+            carries += result.heading_carries
+            for frame in result.frames:
+                digest.update(_frame_bits(frame))
+        assert gaps == 6 * 13 and carries == 6 * 2
+        assert digest.hexdigest() == (
+            "f5fcc31ffdb5a856509790adba09618c5218cabc2621e4589be2394c787eb10b")
+
+    def test_prediction_frames_pinned(self):
+        digest = hashlib.sha256()
+        stream, models = _corpus()
+        count = 0
+        for session in stream:
+            model = models[session.agent_kind]
+            frames = resample(session).frames
+            for window in segment(frames, session.session_id, model.feature_config, horizon=1):
+                states = model.predict(window)
+                digest.update(encode(Prediction(
+                    window.observed[-1].timestamp_us, window.session_id,
+                    tuple((s.x, s.y, s.theta) for s in states))))
+                count += 1
+        assert count > 20
+        assert digest.hexdigest() == (
+            "19213cf7fe2466646f2ca5ba786f433d50147f8b3c6604cb5d92d8efd8dc2a4f")
+
+
+class TestChecksMoved:
+    """Values checked once where they come in still raise there."""
+
+    def _stream(self, index, value, axis):
+        msgs = [HeadsetSample(i * GRID_PERIOD_US, 1, (0.1 * i, 0.0, 1.6),
+                              quaternion_from_yaw(0.0), (1.0, 0.0, 0.0)) for i in range(6)]
+        position = list(msgs[index].position)
+        position[axis] = value
+        object.__setattr__(msgs[index], "position", tuple(position))
+        return msgs
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_mutated_position_raises_on_push(self, value, axis):
+        aligner = GridAligner("human")
+        msgs = self._stream(2, value, axis)
+        for msg in msgs[:3]:
+            aligner.push_message(msg)
+        with pytest.raises(ValidationError, match="AgentState.[xy] must be finite"):
+            aligner.push_message(msgs[3])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_mutated_position_raises_on_finish(self, value):
+        aligner = GridAligner("human")
+        for msg in self._stream(5, value, 0):
+            aligner.push_message(msg)
+        with pytest.raises(ValidationError, match="AgentState.x must be finite"):
+            aligner.finish()
+
+    def _window(self):
+        stream, models = _corpus()
+        session = stream[0]
+        config = CONFIGS[session.agent_kind]
+        return segment(resample(session).frames, session.session_id, config, horizon=1)[0]
+
+    @pytest.mark.parametrize("row,col,value", [(0, 0, math.nan), (7, 1, math.inf),
+                                               (39, 0, -math.inf)])
+    def test_non_finite_forecast_row_raises(self, row, col, value):
+        window = self._window()
+        predictor = ConstantVelocityPredictor(window.feature_config)
+        clean = predictor.forecast
+
+        def forecast(pos, theta, gaze=None):
+            out = clean(pos, theta, gaze).copy()
+            out[..., row, col] = value
+            return out
+
+        predictor.forecast = forecast
+        name = "xy"[col]
+        with pytest.raises(ValidationError) as info:
+            predictor.predict(window)
+        assert str(info.value) == f"AgentState.{name} must be finite, got {value!r}"
+
+    def test_non_finite_carried_heading_raises(self):
+        # A window whose last heading was set to NaN, forecast to stand still:
+        # the first step carries that heading, and its state refuses it.
+        window = self._window()
+        last = window.observed[-1].state
+        object.__setattr__(last, "theta", math.nan)
+        predictor = ConstantVelocityPredictor(window.feature_config)
+        predictor.forecast = lambda pos, theta, gaze=None: np.repeat(pos[..., -1:, :], 40, axis=-2)
+        with pytest.raises(ValidationError, match="AgentState.theta must be finite, got nan"):
+            predictor.predict(window)
+
+
+class TestCheckCost:
+    def test_clean_resample_and_predict_build_no_checked_state(self, monkeypatch):
+        stream, models = _corpus()
+        calls = []
+        init = AgentState.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(AgentState, "__init__", counting)
+        session = stream[0]
+        model = models[session.agent_kind]
+        windows = segment(resample(session).frames, session.session_id, model.feature_config,
+                          horizon=1)
+        for window in windows:
+            assert len(model.predict(window)) == 40
+        assert windows and calls == []

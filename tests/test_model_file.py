@@ -1,5 +1,6 @@
 """RidgeModel shape invariants and malformed model files."""
 
+import hashlib
 import json
 import struct
 
@@ -120,6 +121,33 @@ class TestLoadModel:
         header.update(edit)
         with pytest.raises(ValidationError):
             load_model(_write(tmp_path, header, weights))
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"lam": "x"}, "lam"),
+        ({"lam": -5.0}, "lam"),
+        ({"lam": 1e400}, "lam"),  # json reads it as inf
+        ({"lam": True}, "lam"),
+        ({"horizon": 40.0}, "horizon"),
+        ({"obs_frames": 20.0}, "obs_frames"),
+    ], ids=["lam_string", "lam_negative", "lam_inf", "lam_bool", "horizon_float",
+            "obs_frames_float"])
+    def test_header_fit_ridge_would_never_write(self, tmp_path, edit, message):
+        # Each of these loaded before, and a float horizon failed only later,
+        # in forecast.
+        header, weights = _header_and_weights(tmp_path)
+        header.update(edit)
+        path = _write(tmp_path, header, weights)
+        with pytest.raises(ValidationError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_saved_bytes_unchanged(self, tmp_path):
+        # SHA-256 recorded from an earlier build: the header checks change
+        # what loads, never what is written.
+        path = tmp_path / "model.fcm"
+        save_model(_model(weights=np.full((DIMS, 80), 0.25)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ee6b4dbaa74a8402a41597cd6dfb8823ae6fb62d1c897069c3041cb368a0b09f")
 
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "garbage.fcm"

@@ -394,6 +394,23 @@ class TestCorpus:
         with pytest.raises(ConfigError, match=field):
             CorpusConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["n_human", "n_robot", "duration_s", "seed"])
+    def test_config_missing_key(self, key):
+        raw = CorpusConfig(n_human=8, n_robot=4, duration_s=30.0, seed=21).to_dict()
+        del raw[key]
+        with pytest.raises(ConfigError, match=f"{key}.*missing"):
+            CorpusConfig.from_dict(raw)
+
+    def test_config_unknown_key(self):
+        raw = {**CorpusConfig().to_dict(), "n_companions": 2}
+        with pytest.raises(ConfigError, match="n_companions.*unknown"):
+            CorpusConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [[8, 4, 30.0, 21], "n_human=8", None])
+    def test_config_not_a_dict(self, raw):
+        with pytest.raises(ConfigError, match="must be a dict"):
+            CorpusConfig.from_dict(raw)
+
     def test_config_accepts_whole_seconds(self):
         assert len(generate_corpus(CorpusConfig(n_human=0, n_robot=6, duration_s=6, seed=0))) == 6
 

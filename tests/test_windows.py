@@ -167,6 +167,26 @@ class TestSplit:
         with pytest.raises(ConfigError, match=message):
             DatasetSplit.from_json(json.dumps({**raw, **change}))
 
+    @pytest.mark.parametrize("key,ids", [
+        ("train", ["a"]), ("validation", [1.5]), ("test", [True]), ("train", [[1, 2]]),
+        ("test", 7),
+    ], ids=["string", "float", "bool", "nested", "not_a_list"])
+    def test_from_json_rejects_non_int_ids(self, key, ids):
+        raw = json.loads(split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json())
+        with pytest.raises(ConfigError, match=key):
+            DatasetSplit.from_json(json.dumps({**raw, key: ids}))
+
+    @pytest.mark.parametrize("key", ["train", "validation", "test", "ratios", "seed"])
+    def test_from_json_missing_key(self, key):
+        raw = json.loads(split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json())
+        del raw[key]
+        with pytest.raises(ConfigError, match=key):
+            DatasetSplit.from_json(json.dumps(raw))
+
+    def test_from_json_not_an_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            DatasetSplit.from_json(json.dumps([[1], [2], [3], [0.5, 0.25, 0.25], 9]))
+
 
 class TestTrajectoryWindow:
     def test_requires_observed(self):
