@@ -20,8 +20,10 @@ VERTICAL_EPS = 1e-6
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]. Note the closed upper end: +pi stays +pi.
-    Applied to a numpy array, wraps each element the same way."""
-    return -((-theta + math.pi) % TWO_PI - math.pi)
+    Applied to a numpy array, wraps each element the same way. A remainder
+    that rounds up to TWO_PI counts as 0, so pi + 1 ulp wraps to pi, not -pi."""
+    r = (-theta + math.pi) % TWO_PI
+    return -((r < TWO_PI) * r - math.pi)
 
 
 def quaternion_from_yaw(yaw: float) -> tuple[float, float, float, float]:

@@ -132,7 +132,7 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     block = max(1, _MEMBERS_PER_BLOCK // k)
     for start in range(0, len(windows), block):
         part = slice(start, start + block)
-        jitter = np.stack([ensemble_jitter((seed, idx), k, sigma, pos.shape[1])
+        jitter = np.stack([ensemble_jitter((seed, idx), k, sigma)
                            for idx in range(start, min(start + block, len(windows)))])
         ensemble = predictor.forecast(pos[part, None] + jitter, theta[part, None],
                                       None if gaze is None else gaze[part, None])  # (B, K, H, 2)

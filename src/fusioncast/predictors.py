@@ -1,20 +1,22 @@
 """Trajectory predictors over observation windows.
 
 Both predictor families implement one batched core, ``forecast(pos, theta,
-gaze)``: observed positions (..., T, 2), headings (..., T) and gaze xy
-(..., T, 2) with any leading axes map to world-frame future positions
-(..., horizon, 2). ``predict`` serves one window on top of it, taking each
-predicted step's position and heading from the forecast array: the heading is
-the course of the step, carried over steps that stand still. One isfinite call
-checks the whole forecast, and the steps are built unchecked after it.
+gaze)``: observed positions (..., OBS_FRAMES, 2), headings (..., OBS_FRAMES)
+and gaze xy (..., OBS_FRAMES, 2) with any leading axes map to world-frame
+future positions (..., HORIZON_FRAMES, 2): the window shape, checked by
+TrajectoryWindow and window_arrays, is stored in no model. ``predict`` serves
+one window on top of the core, taking each predicted step's position and
+heading from the forecast array: the heading is the course of the step,
+carried over steps that stand still. One isfinite call checks the whole
+forecast, and the steps are built unchecked after it.
 
 - ConstantVelocityPredictor: extrapolates the mean velocity of the last few
   observed frames. Sanity floor for the displacement metrics.
 - RidgeModel: closed-form ridge regression from per-frame motion features
-  (and, in the full configuration, head/gaze cue channels) to the 40 future
-  planar displacements, everything expressed in the body frame at the end of
-  the observation so the learned map is invariant to where and which way the
-  session happened in the world.
+  (and, in the full configuration, head/gaze cue channels) to the
+  HORIZON_FRAMES future planar displacements, everything expressed in the
+  body frame at the end of the observation so the learned map is invariant to
+  where and which way the session happened in the world.
 
 Feature channels per observed frame:
 
@@ -28,6 +30,10 @@ Feature channels per observed frame:
 "course" is the direction of travel atan2(dy, dx) of the raw displacement;
 head_rel/gaze_rel therefore measure how far the head and gaze point away
 from where the body is going — the anticipation cue.
+
+pose_only is not cue-free: its heading channel, body frame and target frame
+come from the headset orientation, the head yaw, which leads the body. So
+pose_only against pose_head_gaze measures gaze over head.
 """
 
 from __future__ import annotations
@@ -36,14 +42,14 @@ import json
 import struct
 import warnings
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .geometry import AgentState, _checked_state, wrap_angle
 from .sessions import GRID_PERIOD_US
-from .windows import HORIZON_FRAMES, FeatureConfig, TrajectoryWindow
+from .windows import HORIZON_FRAMES, OBS_FRAMES, FeatureConfig, TrajectoryWindow
 
 FRAME_DT = GRID_PERIOD_US / 1_000_000  # s between aligned frames
 
@@ -59,12 +65,12 @@ _STD_FLOOR = 1e-12  # below this a feature dimension is degenerate and dropped
 def window_arrays(windows, config: FeatureConfig, future: bool = False):
     """Stack windows built for ``config`` into arrays, once: observed positions
     (N, T, 2), headings (N, T), gaze xy (N, T, 2) if ``config`` uses gaze and
-    future positions (N, H, 2) if ``future`` is set (else None)."""
+    future positions (N, HORIZON_FRAMES, 2) if ``future`` is set (else None)."""
     for w in windows:
         if w.feature_config is not config:
             raise ConfigError(f"window config {w.feature_config.value} != requested {config.value}")
-        if future and not w.future:
-            raise ValueError("window has no future frames")
+        if future and len(w.future) != HORIZON_FRAMES:
+            raise ValueError(f"window future holds {len(w.future)} frames, not {HORIZON_FRAMES}")
     gaze = fut = None
     if config.uses_gaze:  # x, y, theta and gaze in one array
         try:
@@ -139,15 +145,15 @@ def _targets(pos, theta, future) -> np.ndarray:
     return _rotate(future - pos[:, -1, None], -theta[:, -1]).reshape(len(future), -1)
 
 
-def ensemble_jitter(seed, k: int, sigma: float, obs: int) -> np.ndarray:
-    """N(0, sigma^2) offsets (k, obs, 2) for one window's observed x/y: the
-    input jitter that turns a deterministic predictor into a K-member
-    ensemble. One draw of the block is the same stream as k draws of (obs, 2)."""
+def ensemble_jitter(seed, k: int, sigma: float) -> np.ndarray:
+    """N(0, sigma^2) offsets (k, OBS_FRAMES, 2) for one window's observed x/y:
+    the input jitter that turns a deterministic predictor into a K-member
+    ensemble. One draw of the block is the same stream as k single draws."""
     if k < 1:
         raise ValueError(f"ensemble size must be >= 1, got {k}")
     if sigma < 0:
         raise ValueError(f"jitter sigma must be >= 0, got {sigma}")
-    return np.random.default_rng(seed).normal(0.0, sigma, size=(k, obs, 2))
+    return np.random.default_rng(seed).normal(0.0, sigma, size=(k, OBS_FRAMES, 2))
 
 
 def _states(xy: np.ndarray, origin: np.ndarray, theta_ref) -> list[AgentState]:
@@ -180,8 +186,7 @@ class ConstantVelocityPredictor(_Forecaster):
         self.feature_config = feature_config
 
     def forecast(self, pos, theta, gaze=None) -> np.ndarray:
-        tail = min(CV_TAIL, pos.shape[-2] - 1)
-        velocity = (pos[..., -1, :] - pos[..., -1 - tail, :]) / (tail * FRAME_DT)
+        velocity = (pos[..., -1, :] - pos[..., -1 - CV_TAIL, :]) / (CV_TAIL * FRAME_DT)
         steps = np.arange(1, HORIZON_FRAMES + 1)[:, None] * FRAME_DT
         return pos[..., -1, None, :] + velocity[..., None, :] * steps
 
@@ -203,24 +208,16 @@ class RidgeModel(_Forecaster):
     mean: np.ndarray  # (D,)
     std: np.ndarray  # (D,)
     kept: np.ndarray  # (D,) bool, dims retained after degeneracy drop
-    weights: np.ndarray  # (D_kept, 2 * horizon)
-    obs_frames: int
-    horizon: int
+    weights: np.ndarray  # (D_kept, 2 * HORIZON_FRAMES)
 
     def __post_init__(self):
-        lam = self.lam
-        if not (isinstance(lam, Real) and not isinstance(lam, bool) and np.isfinite(lam) and lam >= 0):
-            raise ValidationError(f"ridge lam must be a finite real >= 0, got {lam!r}")
-        for name in ("obs_frames", "horizon"):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
-                raise ValidationError(f"{name} must be a positive int, got {value!r}")
-        dims = self.obs_frames * self.feature_config.channels
+        _check_lam(self.lam)
+        dims = OBS_FRAMES * self.feature_config.channels
         lengths = (len(self.mean), len(self.std), len(self.kept))
         if set(lengths) != {dims}:
-            raise ValidationError(f"mean/std/kept lengths {lengths} != obs_frames * channels")
-        if self.weights.shape != (int(np.count_nonzero(self.kept)), 2 * self.horizon):
-            raise ValidationError(f"weights shape {self.weights.shape} != (kept, 2 * horizon)")
+            raise ValidationError(f"mean/std/kept lengths {lengths} != OBS_FRAMES * channels")
+        if self.weights.shape != (int(np.count_nonzero(self.kept)), 2 * HORIZON_FRAMES):
+            raise ValidationError(f"weights shape {self.weights.shape} != (kept, 2 * HORIZON_FRAMES)")
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("model weights contain non-finite values")
         self._kept_std = self.std[self.kept]
@@ -234,20 +231,23 @@ class RidgeModel(_Forecaster):
     def forecast(self, pos, theta, gaze=None) -> np.ndarray:
         feats = _features(pos, theta, gaze, self.feature_config)[..., self.kept]
         feats /= self._kept_std
-        rel = (feats @ self.weights).reshape(feats.shape[:-1] + (self.horizon, 2))
+        rel = (feats @ self.weights).reshape(feats.shape[:-1] + (HORIZON_FRAMES, 2))
         return pos[..., -1, None, :] + _rotate(rel, theta[..., -1])
+
+
+def _check_lam(lam) -> None:
+    if not (isinstance(lam, Real) and not isinstance(lam, bool) and np.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"ridge lam must be a finite real >= 0, got {lam!r}")
 
 
 def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3) -> RidgeModel:
     """Solve the regularized normal equations (X^T X + lam I) W = X^T Y.
 
-    The windows' frames lie on the fixed 10 Hz grid (sessions.GRID_PERIOD_US)
-    and the model's horizon is their future length. lam = 0 is accepted but
-    can raise a numeric error on singular designs; negative lam is rejected
-    outright.
+    The windows lie on the fixed 10 Hz grid (sessions.GRID_PERIOD_US), each
+    with a full future. lam is checked as RidgeModel checks it, first; lam = 0
+    can raise a numeric error on singular designs.
     """
-    if lam < 0:
-        raise ValueError(f"ridge lam must be >= 0, got {lam}")
+    _check_lam(lam)
     windows = list(windows)
     if not windows:
         raise ValueError("no training windows")
@@ -269,10 +269,8 @@ def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3) -> RidgeModel:
     gram = Xn.T @ Xn + lam * np.eye(int(kept.sum()))
     weights = np.linalg.solve(gram, Xn.T @ Y)
 
-    return RidgeModel(
-        feature_config=config, lam=float(lam), mean=mean, std=std, kept=kept,
-        weights=weights, obs_frames=pos.shape[1], horizon=fut.shape[1],
-    )
+    return RidgeModel(feature_config=config, lam=float(lam), mean=mean, std=std, kept=kept,
+                      weights=weights)
 
 
 def save_model(model: RidgeModel, path) -> None:
@@ -280,8 +278,8 @@ def save_model(model: RidgeModel, path) -> None:
     header = {
         "feature_config": model.feature_config.value,
         "lam": model.lam,
-        "obs_frames": model.obs_frames,
-        "horizon": model.horizon,
+        "obs_frames": OBS_FRAMES,
+        "horizon": HORIZON_FRAMES,
         "mean": model.mean.tolist(),
         "std": model.std.tolist(),
         "kept": [bool(k) for k in model.kept],
@@ -296,8 +294,8 @@ def save_model(model: RidgeModel, path) -> None:
 
 
 def load_model(path) -> RidgeModel:
-    """Read a model file; a truncated, oversized or malformed one raises
-    ValidationError."""
+    """Read a model file; a truncated, oversized or malformed one, or one whose
+    obs_frames/horizon keys are not the window shape, raises ValidationError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
@@ -314,6 +312,9 @@ def load_model(path) -> RidgeModel:
         raise ValidationError(f"{path}: truncated header ({len(blob)} of {hlen} bytes)")
     try:
         header = json.loads(blob.decode("utf-8"))
+        for key, frames in (("obs_frames", OBS_FRAMES), ("horizon", HORIZON_FRAMES)):
+            if type(header[key]) is not int or header[key] != frames:
+                raise ValidationError(f"{key} must be the int {frames}, got {header[key]!r}")
         rows, cols = (int(n) for n in header["weight_shape"])
         if min(rows, cols) < 0 or len(data) != 8 * rows * cols:
             raise ValidationError(f"{len(data)} weight bytes for weight shape {(rows, cols)}")
@@ -324,8 +325,6 @@ def load_model(path) -> RidgeModel:
             std=np.array(header["std"], dtype=np.float64),
             kept=np.array(header["kept"], dtype=bool),
             weights=np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy(),
-            obs_frames=header["obs_frames"],
-            horizon=header["horizon"],
         )
     except (KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
         raise ValidationError(f"{path}: invalid model file: {exc!r}") from exc

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import protocol
 from .errors import OrderingError, ProtocolError
-from .geometry import AgentState, _checked_state, heading_and_rotate, wrap_angle
+from .geometry import AgentState, _checked_state, heading_and_rotate
 from .protocol import (
     AGENT_HUMAN,
     AGENT_ROBOT,
@@ -223,7 +223,7 @@ class GridAligner:
 
         x, y, _ = msg.position
         if x - x == 0.0 and y - y == 0.0:  # finite, as the message checked
-            state = _checked_state(x, y, wrap_angle(heading))
+            state = _checked_state(x, y, heading)  # heading_and_rotate wrapped it
         else:  # a message changed after its checks: AgentState raises
             state = AgentState(x, y, heading)
         self._gap_run = 0

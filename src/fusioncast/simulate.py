@@ -51,8 +51,10 @@ START_TIMESTAMP_US = 1_600_000_000_000_000
 EYE_HEIGHT_M = 1.6
 ROBOT_MOUNT_HEIGHT_M = 0.5
 
-# Walker steering constants (not exposed as params; corpus variety comes from
-# seeds, maps, and the per-walker noise).
+# Walker constants (not exposed as params; corpus variety comes from seeds,
+# maps, and the per-walker noise).
+PREFERRED_SPEED = 1.4  # m/s
+GAZE_PITCH_RAD = -0.1  # constant downward pitch of the gaze
 LOOKAHEAD_M = 1.0
 WALKER_MAX_YAW_RATE = 2.2  # rad/s
 WALKER_ACCEL = 1.5  # m/s^2
@@ -163,28 +165,19 @@ def map_variant(base: CorridorMap, seed) -> CorridorMap:
 
 @dataclass
 class HumanWalkerParams:
-    preferred_speed: float = 1.4  # m/s
     head_lead_s: float = 0.4  # head yaw anticipates body heading by this much
     gaze_lead_s: float = 0.8  # gaze anticipates body heading; must be >= head lead
     heading_noise_std: float = 0.05  # rad per step
     speed_noise_std: float = 0.05  # m/s per step
     seed: int = 0
-    gaze_pitch_rad: float = -0.1  # constant downward pitch of the gaze
 
     def __post_init__(self):
-        for name in ("preferred_speed", "head_lead_s", "gaze_lead_s", "heading_noise_std",
-                     "speed_noise_std", "gaze_pitch_rad"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.gaze_lead_s >= self.head_lead_s >= 0.0):
-            raise ValueError(
-                f"need gaze_lead >= head_lead >= 0, got {self.gaze_lead_s}/{self.head_lead_s}"
-            )
-        if self.preferred_speed <= 0:
-            raise ValueError(f"preferred_speed must be positive, got {self.preferred_speed!r}")
-        for name in ("heading_noise_std", "speed_noise_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("head_lead_s", "gaze_lead_s", "heading_noise_std", "speed_noise_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not self.gaze_lead_s >= self.head_lead_s:
+            raise ValueError(f"need gaze_lead >= head_lead, got {self.gaze_lead_s}/{self.head_lead_s}")
 
 
 @dataclass
@@ -237,8 +230,7 @@ def _steer_walker(corridor: CorridorMap, me: _WalkerState) -> float:
     dx, dy = tx - x, ty - y
     norm = math.sqrt(dx * dx + dy * dy)
     if norm > 1e-9:
-        speed = me.params.preferred_speed
-        dx, dy = dx / norm * speed, dy / norm * speed
+        dx, dy = dx / norm * PREFERRED_SPEED, dy / norm * PREFERRED_SPEED
 
     return math.atan2(dy, dx)
 
@@ -252,10 +244,10 @@ def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None
     dtheta = _clamp(dtheta, -max_step, max_step)
     me.theta = wrap_angle(me.theta + dtheta)
 
-    v_des = params.preferred_speed * (1.0 - TURN_SLOWDOWN * min(1.0, abs(dtheta) / max_step))
+    v_des = PREFERRED_SPEED * (1.0 - TURN_SLOWDOWN * min(1.0, abs(dtheta) / max_step))
     if params.speed_noise_std > 0:
         v_des += params.speed_noise_std * next(me.noise)
-    v_des = _clamp(v_des, 0.15, params.preferred_speed * 1.3)
+    v_des = _clamp(v_des, 0.15, PREFERRED_SPEED * 1.3)
     me.speed += _clamp(v_des - me.speed, -WALKER_ACCEL * SIM_DT, WALKER_ACCEL * SIM_DT)
 
     step = me.speed * SIM_DT
@@ -294,7 +286,7 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
     # One normal per noisy channel per step, the order the steps use them.
     draws = n_frames * ((params.heading_noise_std > 0) + (params.speed_noise_std > 0))
     noise = np.random.default_rng(params.seed).standard_normal(draws).tolist()
-    walker = _WalkerState(x=x, y=y, theta=math.atan2(uy, ux), speed=params.preferred_speed,
+    walker = _WalkerState(x=x, y=y, theta=math.atan2(uy, ux), speed=PREFERRED_SPEED,
                           direction=1, params=params, noise=iter(noise))
     positions, body = [], []
     for _ in range(n_frames):
@@ -304,8 +296,7 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
 
     head_shift = int(round(params.head_lead_s / SIM_DT))
     gaze_shift = int(round(params.gaze_lead_s / SIM_DT))
-    pitch = params.gaze_pitch_rad
-    cos_p, sin_p = math.cos(pitch), math.sin(pitch)
+    cos_p, sin_p = math.cos(GAZE_PITCH_RAD), math.sin(GAZE_PITCH_RAD)
 
     session = Session(session_id, AGENT_HUMAN, label=label)
     for t, (x, y) in enumerate(positions):

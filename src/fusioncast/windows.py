@@ -1,4 +1,9 @@
-"""Fixed observation/horizon windowing and leakage-free session-level splits."""
+"""Fixed observation/horizon windowing and leakage-free session-level splits.
+
+A window is OBS_FRAMES observed + HORIZON_FRAMES future frames: TrajectoryWindow
+checks the observed length, predictors.window_arrays the future length for a
+fit or a score, and predictors take their frame counts from these constants.
+"""
 
 from __future__ import annotations
 
@@ -44,8 +49,8 @@ class TrajectoryWindow:
     future: tuple[AlignedFrame, ...] = ()
 
     def __post_init__(self):
-        if not self.observed:
-            raise ValueError("window must contain observed frames")
+        if len(self.observed) != OBS_FRAMES:
+            raise ValueError(f"window must hold {OBS_FRAMES} observed frames, got {len(self.observed)}")
 
 
 def _usable(frame: AlignedFrame, need_gaze: bool) -> bool:
@@ -61,7 +66,7 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
     """Cut frames aligned on the fixed 10 Hz grid into windows of OBS_FRAMES
     observed + ``horizon`` future frames at every DEFAULT_STRIDE offset
     inside each gap-free run. A ``horizon`` below HORIZON_FRAMES cuts windows
-    whose future is only partly known, down to one frame.
+    whose future is partly known, down to one frame, for prediction only.
 
     Windows share the aligned frames, gaze included. The guard against gaze
     reaching a pose-only forecast is predictors.window_arrays: it stacks gaze

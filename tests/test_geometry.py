@@ -122,6 +122,19 @@ class TestWrapAngle:
             # Same angle modulo 2*pi.
             assert abs(math.remainder(w - theta, 2 * math.pi)) < 1e-9
 
+    def test_idempotent_to_the_bit(self):
+        # The aligner wraps each heading once, trusting a second wrap to be a
+        # no-op: pi - w and its difference back from pi are exact. Just above
+        # pi, the remainder rounds up to 2 pi.
+        rng = np.random.default_rng(41)
+        ulps = np.spacing(math.pi) * np.arange(-4, 5)
+        near_pi = [*(math.pi + ulps), *(-math.pi + ulps)]
+        angles = [*rng.uniform(-50.0, 50.0, 20_000), *rng.normal(0.0, 1e-12, 1000),
+                  *np.arctan2(*rng.normal(size=(2, 20_000))), *near_pi, 0.0, -0.0, 1e-300]
+        for theta in angles:
+            once = wrap_angle(float(theta))
+            assert struct.pack("<d", wrap_angle(once)) == struct.pack("<d", once), theta
+
 
 class TestRotationFromQuaternion:
     def test_identity(self):

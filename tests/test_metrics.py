@@ -13,7 +13,6 @@ from fusioncast.geometry import AgentState
 from fusioncast.metrics import KDE_BANDWIDTH_FLOOR, KDE_DENSITY_FLOOR, SCOTT_EXPONENT, evaluate
 from fusioncast.predictors import (
     ConstantVelocityPredictor,
-    RidgeModel,
     ensemble_jitter,
     fit_ridge,
     window_arrays,
@@ -118,7 +117,7 @@ def _reference_evaluate(predictor, windows, k, sigma, seed):
         steps = np.array([math.hypot(px - tx, py - ty) for (px, py), (tx, ty) in zip(pred, truth)])
         curve_sum = steps if curve_sum is None else curve_sum + steps
         window_ades.append(float(steps.mean()))
-        jittered = pos[0] + ensemble_jitter((seed, idx), k, sigma, pos.shape[1])
+        jittered = pos[0] + ensemble_jitter((seed, idx), k, sigma)
         nlls.append(_kde_nll_loop(predictor.forecast(jittered, theta, gaze).tolist(), truth))
     window_ades = np.array(window_ades)
     curve = curve_sum / len(windows)
@@ -194,13 +193,28 @@ class TestEvaluate:
             evaluate(gaze_cv, pose, FeatureConfig.POSE_ONLY)
 
     def test_rejects_horizon_mismatch(self, corpus_windows):
+        # A predictor is duck-typed, so its forecast length is checked too.
+        class ShortPredictor:
+            feature_config = FeatureConfig.POSE_ONLY
+
+            def forecast(self, pos, theta, gaze):
+                cv = ConstantVelocityPredictor(self.feature_config).forecast(pos, theta, gaze)
+                return cv[..., :HORIZON_FRAMES - 1, :]
+
         config = FeatureConfig.POSE_ONLY
-        dim = OBS_FRAMES * config.channels
-        short = RidgeModel(feature_config=config, lam=1.0, mean=np.zeros(dim), std=np.ones(dim),
-                           kept=np.ones(dim, dtype=bool), weights=np.zeros((dim, 78)),
-                           obs_frames=OBS_FRAMES, horizon=HORIZON_FRAMES - 1)
         with pytest.raises(ValueError, match="length mismatch"):
-            evaluate(short, corpus_windows[config], config)
+            evaluate(ShortPredictor(), corpus_windows[config], config)
+
+    def test_rejects_partial_future(self, corpus_windows):
+        # segment cuts windows with a 5-frame future for prediction; fitting
+        # and scoring need the full horizon.
+        config = FeatureConfig.POSE_ONLY
+        window = corpus_windows[config][0]
+        short = segment(window.observed + window.future, window.session_id, config, horizon=5)
+        with pytest.raises(ValueError, match="future holds 5 frames"):
+            fit_ridge(short, config, lam=1.0)
+        with pytest.raises(ValueError, match="future holds 5 frames"):
+            evaluate(ConstantVelocityPredictor(config), short, config)
 
     @pytest.mark.parametrize("k, sigma", [(0, 0.05), (1, 0.05), (4, -0.1)])
     def test_rejects_bad_ensemble(self, corpus_windows, k, sigma):

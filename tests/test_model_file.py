@@ -20,7 +20,7 @@ def _model(**overrides):
     fields = dict(
         feature_config=FeatureConfig.POSE_ONLY, lam=1.0,
         mean=np.zeros(DIMS), std=np.ones(DIMS), kept=np.ones(DIMS, dtype=bool),
-        weights=np.zeros((DIMS, 80)), obs_frames=20, horizon=40,
+        weights=np.zeros((DIMS, 80)),
     )
     fields.update(overrides)
     return RidgeModel(**fields)
@@ -47,8 +47,10 @@ class TestRidgeModelShapes:
     def test_length_not_obs_frames_times_channels(self):
         with pytest.raises(ValidationError):
             _model(feature_config=FeatureConfig.POSE_HEAD_GAZE)
+        dims = 19 * FeatureConfig.POSE_ONLY.channels
         with pytest.raises(ValidationError):
-            _model(obs_frames=19)
+            _model(mean=np.zeros(dims), std=np.ones(dims), kept=np.ones(dims, dtype=bool),
+                   weights=np.zeros((dims, 80)))
 
     def test_no_kept_dims_predicts_last_position(self):
         frames = tuple(AlignedFrame(i * 100_000, AgentState(0.1 * i, 0.0, 0.0)) for i in range(20))
@@ -129,14 +131,20 @@ class TestLoadModel:
         ({"lam": True}, "lam"),
         ({"horizon": 40.0}, "horizon"),
         ({"obs_frames": 20.0}, "obs_frames"),
+        ({"obs_frames": 10, "mean": [0.0] * 40, "std": [1.0] * 40, "kept": [True] * 40,
+          "weight_shape": [40, 80]}, "obs_frames"),
+        ({"horizon": 5, "weight_shape": [DIMS, 10]}, "horizon"),
+        ({"horizon": True}, "horizon"),
     ], ids=["lam_string", "lam_negative", "lam_inf", "lam_bool", "horizon_float",
-            "obs_frames_float"])
+            "obs_frames_float", "obs_frames_10", "horizon_5", "horizon_bool"])
     def test_header_fit_ridge_would_never_write(self, tmp_path, edit, message):
         # Each of these loaded before, and a float horizon failed only later,
-        # in forecast.
+        # in forecast. The weights are cut to the header's weight shape, so
+        # only the edited keys are wrong.
         header, weights = _header_and_weights(tmp_path)
         header.update(edit)
-        path = _write(tmp_path, header, weights)
+        rows, cols = header["weight_shape"]
+        path = _write(tmp_path, header, weights[:8 * rows * cols])
         with pytest.raises(ValidationError, match=message) as info:
             load_model(path)
         assert str(path) in str(info.value)

@@ -229,6 +229,12 @@ class TestFitRidge:
         with pytest.raises(ValueError):
             fit_ridge([_unicycle_window()], FeatureConfig.POSE_ONLY, lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [True, "x"], ids=["bool", "string"])
+    def test_lam_checked_as_the_model_checks_it(self, lam):
+        # True fitted a model with lam 1.0, and "x" raised TypeError.
+        with pytest.raises(ValidationError, match="lam"):
+            fit_ridge([_unicycle_window()], FeatureConfig.POSE_ONLY, lam=lam)
+
     def test_warns_when_underdetermined(self):
         with pytest.warns(RuntimeWarning):
             fit_ridge([_unicycle_window(omega=0.1)], FeatureConfig.POSE_ONLY, lam=1e-3)
@@ -299,7 +305,7 @@ class TestPredict:
         model = RidgeModel(
             feature_config=FeatureConfig.POSE_ONLY, lam=1.0,
             mean=np.zeros(dim), std=np.ones(dim), kept=np.ones(dim, dtype=bool),
-            weights=np.zeros((dim, 80)), obs_frames=20, horizon=40,
+            weights=np.zeros((dim, 80)),
         )
         pred = model.predict(window)
         last = window.observed[-1].state
@@ -348,7 +354,7 @@ def _carry_model(config):
     steps = np.clip(np.arange(40) - 4, 0, 10)[:, None] * np.array([0.03, 0.02])
     weights = np.ones((dim, 1)) / dim * steps.reshape(1, -1)
     return RidgeModel(feature_config=config, lam=1.0, mean=np.zeros(dim), std=np.ones(dim),
-                      kept=np.ones(dim, dtype=bool), weights=weights, obs_frames=20, horizon=40)
+                      kept=np.ones(dim, dtype=bool), weights=weights)
 
 
 @functools.cache
@@ -391,7 +397,7 @@ class TestPredictHeadings:
         # ensemble forecast that evaluate scores.
         model, window = _heading_cases()[case]
         pos, theta, gaze, _ = window_arrays([window], model.feature_config)
-        jitter = ensemble_jitter(3, 4, sigma, pos.shape[1])
+        jitter = ensemble_jitter(3, 4, sigma)
         ensemble = model.forecast(pos[0] + jitter, theta, gaze)
         for offsets, member in zip(jitter, ensemble):
             jittered = _jittered(window, offsets)
@@ -439,7 +445,7 @@ def _ensemble(model, window, k, sigma, seed):
     """The K-member forecast (K, H, 2) that evaluate scores for ``window``:
     one forecast of K input-jittered copies of its observed positions."""
     pos, theta, gaze, _ = window_arrays([window], model.feature_config)
-    return model.forecast(pos[0] + ensemble_jitter(seed, k, sigma, pos.shape[1]), theta, gaze)
+    return model.forecast(pos[0] + ensemble_jitter(seed, k, sigma), theta, gaze)
 
 
 class TestEnsemble:

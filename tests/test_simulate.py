@@ -15,6 +15,7 @@ from fusioncast.simulate import (
     CORNER_JITTER_M,
     MIN_SESSION_DURATION_S,
     N_MAP_VARIANTS,
+    PREFERRED_SPEED,
     WALL_MARGIN_M,
     WIDTH_JITTER_M,
     CorpusConfig,
@@ -153,7 +154,7 @@ class TestSimulateHuman:
         assert max(abs(g) for g in gaze_yaws) < 1e-9
         pos = np.array([p.position[:2] for p in session.messages])
         speeds = np.linalg.norm(np.diff(pos, axis=0), axis=1) / 0.1
-        assert np.allclose(speeds, params.preferred_speed, atol=1e-6)
+        assert np.allclose(speeds, PREFERRED_SPEED, atol=1e-6)
 
     def test_corner_gaze_precedes_body(self):
         # Oracle: event-time extraction from the generated trace. Gaze yaw must
@@ -264,9 +265,7 @@ class TestSimulateHuman:
             HumanWalkerParams(gaze_lead_s=0.2, head_lead_s=0.5)
 
     @pytest.mark.parametrize("field,value", [
-        ("preferred_speed", math.nan), ("preferred_speed", math.inf), ("preferred_speed", 0.0),
         ("head_lead_s", math.nan), ("gaze_lead_s", math.inf),
-        ("preferred_speed", -1.0), ("gaze_pitch_rad", math.nan), ("gaze_pitch_rad", math.inf),
         ("heading_noise_std", -0.01), ("heading_noise_std", math.nan),
         ("heading_noise_std", math.inf), ("speed_noise_std", -0.01),
         ("speed_noise_std", math.inf), ("speed_noise_std", math.nan),

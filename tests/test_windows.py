@@ -190,8 +190,9 @@ class TestSplit:
 
 class TestTrajectoryWindow:
     def test_requires_observed(self):
-        with pytest.raises(ValueError):
-            TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY, observed=())
+        for n in (0, OBS_FRAMES - 1, OBS_FRAMES + 1):
+            with pytest.raises(ValueError, match="observed frames"):
+                TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY, observed=tuple(_frames(n)))
 
     def test_live_window_future_optional(self):
         frames = tuple(_frames(20))
