@@ -63,26 +63,27 @@ _STD_FLOOR = 1e-12  # below this a feature dimension is degenerate and dropped
 
 
 def window_arrays(windows, config: FeatureConfig, future: bool = False):
-    """Stack windows built for ``config`` into arrays, once: observed positions
-    (N, T, 2), headings (N, T), gaze xy (N, T, 2) if ``config`` uses gaze and
-    future positions (N, HORIZON_FRAMES, 2) if ``future`` is set (else None)."""
+    """Stack the rows (TrajectoryWindow.rows) of windows built for ``config``
+    into arrays: observed positions (N, T, 2), headings (N, T), gaze xy
+    (N, T, 2) if ``config`` uses gaze and future positions
+    (N, HORIZON_FRAMES, 2) if ``future`` is set (else None). The arrays are
+    views of one stack; a single window's are read-only views of its rows."""
     for w in windows:
         if w.feature_config is not config:
             raise ConfigError(f"window config {w.feature_config.value} != requested {config.value}")
         if future and len(w.future) != HORIZON_FRAMES:
             raise ValueError(f"window future holds {len(w.future)} frames, not {HORIZON_FRAMES}")
-    gaze = fut = None
-    if config.uses_gaze:  # x, y, theta and gaze in one array
-        try:
-            obs = np.array([[(f.state.x, f.state.y, f.state.theta, *f.gaze_world)
-                             for f in w.observed] for w in windows])
-        except TypeError:  # a gaze_world of None
-            raise ConfigError("window has no gaze channel but gaze features were requested") from None
-        gaze = obs[..., 3:5]
+    if not windows:
+        raise ValueError("no windows")
+    if len(windows) == 1:
+        rows = windows[0].rows()[None]
+    elif future:
+        rows = np.stack([w.rows() for w in windows])
     else:
-        obs = np.array([[(f.state.x, f.state.y, f.state.theta) for f in w.observed] for w in windows])
-    if future:
-        fut = np.array([[(f.state.x, f.state.y) for f in w.future] for w in windows])
+        rows = np.stack([w.rows()[:OBS_FRAMES] for w in windows])
+    obs = rows[:, :OBS_FRAMES]
+    gaze = obs[..., 3:5] if config.uses_gaze else None
+    fut = rows[:, OBS_FRAMES:, :2] if future else None
     return obs[..., :2], obs[..., 2], gaze, fut
 
 

@@ -3,6 +3,11 @@
 A window is OBS_FRAMES observed + HORIZON_FRAMES future frames: TrajectoryWindow
 checks the observed length, predictors.window_arrays the future length for a
 fit or a score, and predictors take their frame counts from these constants.
+
+A window holds its frames' floats, one row per frame, as they were when it
+was cut: ``segment`` reads each frame of a gap-free run once into one
+read-only array, and every window cut from that run is a view of its rows.
+Changing a frame after the cut changes no window's floats.
 """
 
 from __future__ import annotations
@@ -10,8 +15,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .errors import ConfigError
 from .sessions import AlignedFrame
@@ -40,17 +47,51 @@ class FeatureConfig(str, Enum):
 @dataclass(frozen=True)
 class TrajectoryWindow:
     """Contiguous gap-free frames: ``observed`` for input, ``future`` as the
-    prediction target. Live windows (server side) have an empty future."""
+    prediction target. Live windows (server side) have an empty future.
+
+    The frames' floats, one row per frame (see ``rows``), are read once: at
+    the cut for a window from ``segment``, whose rows are a view of its run's
+    array, and on first use for a window built from frames directly.
+    """
 
     session_id: int
     start_index: int
     feature_config: FeatureConfig
     observed: tuple[AlignedFrame, ...]
     future: tuple[AlignedFrame, ...] = ()
+    _rows: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.observed) != OBS_FRAMES:
             raise ValueError(f"window must hold {OBS_FRAMES} observed frames, got {len(self.observed)}")
+
+    def rows(self) -> np.ndarray:
+        """Read-only floats (OBS_FRAMES + len(future), 3) of x, y, theta per
+        frame, with gaze x, y as two more columns if the config uses gaze."""
+        rows = self._rows
+        if rows is None:
+            rows = _frame_rows(self.observed + self.future, self.feature_config.uses_gaze)
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+
+def _frame_rows(frames, gaze: bool) -> np.ndarray:
+    """The rows of TrajectoryWindow.rows for ``frames``, from one flat list."""
+    flat = []
+    if gaze:
+        try:
+            for f in frames:
+                s, g = f.state, f.gaze_world
+                flat += (s.x, s.y, s.theta, g[0], g[1])
+        except TypeError:  # a gaze_world of None
+            raise ConfigError("window has no gaze channel but gaze features were requested") from None
+    else:
+        for f in frames:
+            s = f.state
+            flat += (s.x, s.y, s.theta)
+    rows = np.array(flat).reshape(len(frames), 5 if gaze else 3)
+    rows.flags.writeable = False
+    return rows
 
 
 def _usable(frame: AlignedFrame, need_gaze: bool) -> bool:
@@ -68,10 +109,14 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
     inside each gap-free run. A ``horizon`` below HORIZON_FRAMES cuts windows
     whose future is partly known, down to one frame, for prediction only.
 
-    Windows share the aligned frames, gaze included. The guard against gaze
-    reaching a pose-only forecast is predictors.window_arrays: it stacks gaze
-    only for a configuration that uses it, and only from windows cut for that
-    configuration, so a pose-only predictor is handed no gaze array at all.
+    The frames of each run that yields a window are read once, here, into one
+    array of rows (see TrajectoryWindow.rows) that its windows share, so a
+    window holds its frames' floats as of this cut.
+
+    Windows share the aligned frames, gaze included, but the rows of a
+    pose-only window hold no gaze columns, and predictors.window_arrays
+    stacks only windows cut for the configuration asked for, so a pose-only
+    predictor is handed no gaze array at all.
     """
     if horizon < 1:
         raise ValueError(f"window horizon must be >= 1 frame, got {horizon}")
@@ -88,16 +133,20 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
         if not inside and run_start is not None:
             run_len = idx - run_start
             count = max(0, (run_len - span) // DEFAULT_STRIDE + 1)
-            for k in range(count):
-                start = run_start + k * DEFAULT_STRIDE
-                chunk = frames[start:start + span]
-                windows.append(TrajectoryWindow(
-                    session_id=session_id,
-                    start_index=start,
-                    feature_config=feature_config,
-                    observed=tuple(chunk[:OBS_FRAMES]),
-                    future=tuple(chunk[OBS_FRAMES:]),
-                ))
+            if count:
+                run = frames[run_start:run_start + (count - 1) * DEFAULT_STRIDE + span]
+                rows = _frame_rows(run, need_gaze)
+                for offset in range(0, count * DEFAULT_STRIDE, DEFAULT_STRIDE):
+                    chunk = run[offset:offset + span]
+                    window = TrajectoryWindow(
+                        session_id=session_id,
+                        start_index=run_start + offset,
+                        feature_config=feature_config,
+                        observed=tuple(chunk[:OBS_FRAMES]),
+                        future=tuple(chunk[OBS_FRAMES:]),
+                    )
+                    object.__setattr__(window, "_rows", rows[offset:offset + span])
+                    windows.append(window)
             run_start = None
     return windows
 
@@ -176,6 +225,8 @@ def split_sessions(session_ids, ratios: tuple[float, float, float], seed: int) -
     if len(ids) < 3:
         raise ConfigError(f"need at least 3 sessions to split, got {len(ids)}")
     ratios = _checked_ratios(ratios)
+    if type(seed) is not int:
+        raise ConfigError(f"split seed must be an int, got {seed!r}")
     nonzero = sum(1 for r in ratios if r > 0)
     if len(ids) < nonzero:
         raise ConfigError(f"{len(ids)} sessions cannot fill {nonzero} split buckets")
@@ -210,5 +261,5 @@ def split_sessions(session_ids, ratios: tuple[float, float, float], seed: int) -
         validation=tuple(ids[c1:c2]),
         test=tuple(ids[c2:]),
         ratios=ratios,
-        seed=int(seed),
+        seed=seed,
     )

@@ -9,7 +9,11 @@ Robots are scored the same way on their own corpus (10 robots x 40 s, the
 same split and lam, pose only): the ridge must beat constant velocity.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,10 @@ from fusioncast.windows import FeatureConfig, segment, split_sessions
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference_experiment.json"
 RTOL = 1e-12
+# SHA-256 of the report JSONs of seeds 0-2 (see _reports_digest), recorded
+# from an earlier build of the package with one BLAS thread.
+REPORTS_SHA256 = "8e858053252b326baa4be5b47ad6d97d960a594880a8dd2f0c4e13479224f4a6"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _reports(seed):
@@ -63,3 +71,29 @@ def test_robot_ridge_beats_cv(seed):
     ridge = evaluate(fit_ridge(train, config, lam=1.0), test, config, k=20, seed=seed)
     cv = evaluate(ConstantVelocityPredictor(config), test, config, k=20, seed=seed)
     assert ridge.ade < cv.ade
+
+
+def _reports_digest(seeds) -> str:
+    digest = hashlib.sha256()
+    for seed in seeds:
+        reports = _reports(seed)
+        for name in sorted(reports):
+            digest.update(reports[name].to_json().encode())
+    return digest.hexdigest()
+
+
+def test_report_bytes_pinned():
+    # Every byte of every report, not the values within RTOL. The BLAS thread
+    # count changes the bits of the fit, so the pipeline runs in a child
+    # process with one thread, as the benchmark runs it. The floats come from
+    # numpy, BLAS and libm, so another platform may need its own digest.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == REPORTS_SHA256
+
+
+if __name__ == "__main__":
+    print(_reports_digest(range(3)))

@@ -16,11 +16,17 @@ import pytest
 
 from fusioncast.errors import ValidationError
 from fusioncast.geometry import AgentState, quaternion_from_yaw
-from fusioncast.predictors import ConstantVelocityPredictor, fit_ridge
+from fusioncast.predictors import ConstantVelocityPredictor, fit_ridge, window_arrays
 from fusioncast.protocol import HeadsetSample, Prediction, RobotSample, encode
 from fusioncast.sessions import GRID_PERIOD_US, GridAligner, Session, resample
 from fusioncast.simulate import CorpusConfig, generate_corpus
-from fusioncast.windows import FeatureConfig, segment
+from fusioncast.windows import (
+    HORIZON_FRAMES,
+    OBS_FRAMES,
+    FeatureConfig,
+    TrajectoryWindow,
+    segment,
+)
 
 CONFIGS = {"human": FeatureConfig.POSE_HEAD_GAZE, "robot": FeatureConfig.ROBOT_POSE_ONLY}
 # Forward axis pitched straight down: no heading, so the aligner carries one.
@@ -104,6 +110,59 @@ class TestPinnedBits:
             "19213cf7fe2466646f2ca5ba786f433d50147f8b3c6604cb5d92d8efd8dc2a4f")
 
 
+def _rebuilt(window):
+    """A copy of ``window`` built from its frames, which reads them on first use."""
+    return TrajectoryWindow(window.session_id, window.start_index, window.feature_config,
+                            window.observed, window.future)
+
+
+def _array_bits(arrays):
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+class TestWindowRows:
+    """The rows ``segment`` reads at the cut are the floats of each window's
+    own frames, on sessions with gaps and heading carries."""
+
+    @pytest.mark.parametrize("horizon", [HORIZON_FRAMES, 1])
+    @pytest.mark.parametrize("config", list(FeatureConfig), ids=lambda c: c.value)
+    def test_cut_rows_equal_rows_rebuilt_from_frames(self, config, horizon):
+        kind = "robot" if config is FeatureConfig.ROBOT_POSE_ONLY else "human"
+        windows = [w for s in _corpus()[0] if s.agent_kind == kind
+                   for w in segment(resample(s).frames, s.session_id, config, horizon=horizon)]
+        assert len(windows) >= 9
+        if horizon == 1:  # the runs beside the carried headings are too short for a full future
+            assert any(f.heading_carried for w in windows for f in w.observed)
+        future = horizon == HORIZON_FRAMES
+        rebuilt = [_rebuilt(w) for w in windows]
+        for cut, copy in zip(windows, rebuilt):
+            assert (_array_bits(window_arrays([cut], config, future))
+                    == _array_bits(window_arrays([copy], config, future)))
+        stacked = window_arrays(windows, config, future)
+        assert _array_bits(stacked) == _array_bits(window_arrays(rebuilt, config, future))
+        pos, theta, gaze, fut = stacked
+        assert pos.tolist() == [[[f.state.x, f.state.y] for f in w.observed] for w in windows]
+        assert theta.tolist() == [[f.state.theta for f in w.observed] for w in windows]
+        if config.uses_gaze:
+            assert gaze.tolist() == [[list(f.gaze_world[:2]) for f in w.observed] for w in windows]
+        if future:
+            assert fut.tolist() == [[[f.state.x, f.state.y] for f in w.future] for w in windows]
+
+    def test_cut_and_live_windows_stack_together(self):
+        # The live reference's pattern: one-frame-future windows plus one
+        # window built from a session's last 20 frames, with no future.
+        for session in _corpus()[0]:
+            config = CONFIGS[session.agent_kind]
+            frames = resample(session).frames
+            windows = segment(frames, session.session_id, config, horizon=1)
+            windows.append(TrajectoryWindow(session.session_id, len(frames) - OBS_FRAMES, config,
+                                            tuple(frames[-OBS_FRAMES:])))
+            stacked = window_arrays(windows, config)
+            assert len(stacked[0]) == len(windows) > 1 and stacked[3] is None
+            assert _array_bits(stacked) == _array_bits(window_arrays([_rebuilt(w) for w in windows],
+                                                                     config))
+
+
 class TestChecksMoved:
     """Values checked once where they come in still raise there."""
 
@@ -158,11 +217,14 @@ class TestChecksMoved:
         assert str(info.value) == f"AgentState.{name} must be finite, got {value!r}"
 
     def test_non_finite_carried_heading_raises(self):
-        # A window whose last heading was set to NaN, forecast to stand still:
-        # the first step carries that heading, and its state refuses it.
-        window = self._window()
-        last = window.observed[-1].state
-        object.__setattr__(last, "theta", math.nan)
+        # A window built from frames whose last heading was set to NaN,
+        # forecast to stand still: the first step carries that heading, and
+        # its state refuses it. A window reads its frames' floats once, so
+        # the NaN is set before the window is built.
+        cut = self._window()
+        object.__setattr__(cut.observed[-1].state, "theta", math.nan)
+        window = TrajectoryWindow(cut.session_id, cut.start_index, cut.feature_config,
+                                  cut.observed, cut.future)
         predictor = ConstantVelocityPredictor(window.feature_config)
         predictor.forecast = lambda pos, theta, gaze=None: np.repeat(pos[..., -1:, :], 40, axis=-2)
         with pytest.raises(ValidationError, match="AgentState.theta must be finite, got nan"):

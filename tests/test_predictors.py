@@ -154,6 +154,11 @@ class TestFeatures:
         with pytest.raises(ConfigError):
             window_arrays([robot_window], FeatureConfig.POSE_HEAD_GAZE)
 
+    @pytest.mark.parametrize("future", [False, True])
+    def test_no_windows_rejected(self, future):
+        with pytest.raises(ValueError, match="no windows"):
+            window_arrays([], FeatureConfig.POSE_ONLY, future=future)
+
 
 class TestFitRidge:
     def _training_windows(self, rng, n=150):

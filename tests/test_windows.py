@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_sessions([1, 2], (0.8, 0.1, 0.1), seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None], ids=["float", "string", "bool", "none"])
+    def test_seed_must_be_an_int(self, seed):
+        # random.Random takes all four, but the split would record a seed it
+        # did not shuffle with: int(1.5) is 1, whose split differs.
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            split_sessions(range(1, 11), (0.6, 0.2, 0.2), seed=seed)
+
+    def test_recorded_seed_reproduces_the_split(self):
+        for seed in (0, 7, 2**70, -3):
+            split = split_sessions(range(1, 11), (0.6, 0.2, 0.2), seed)
+            assert split.seed == seed
+            assert split_sessions(range(1, 11), split.ratios, split.seed) == split
+
     def test_json_round_trip(self):
         split = split_sessions(range(12), (0.5, 0.25, 0.25), seed=9)
         assert DatasetSplit.from_json(split.to_json()) == split
@@ -198,3 +212,48 @@ class TestTrajectoryWindow:
         frames = tuple(_frames(20))
         w = TrajectoryWindow(1, 0, FeatureConfig.POSE_HEAD_GAZE, observed=frames)
         assert w.future == ()
+
+    def test_rows_read_from_frames_on_first_use(self):
+        frames = tuple(_frames(21))
+        w = TrajectoryWindow(1, 0, FeatureConfig.POSE_HEAD_GAZE, frames[:20], frames[20:])
+        rows = w.rows()
+        assert rows.shape == (21, 5) and w.rows() is rows
+        assert rows[:, 0].tolist() == [f.state.x for f in frames]
+        assert rows[:, 3:].tolist() == [[1.0, 0.0]] * 21
+        assert not rows.flags.writeable
+        pose = TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY, frames[:20])
+        assert pose.rows().shape == (20, 3)
+
+    def test_rows_are_not_part_of_equality_or_repr(self):
+        w = segment(_frames(60), 1, FeatureConfig.POSE_ONLY)[0]
+        built = TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY, w.observed, w.future)
+        assert built == w
+        assert repr(built) == repr(w) and "_rows" not in repr(w)
+
+    def test_missing_gaze_raises_on_first_use(self):
+        frames = tuple(_frames(20, with_gaze=False))
+        w = TrajectoryWindow(1, 0, FeatureConfig.POSE_HEAD_GAZE, frames)
+        with pytest.raises(ConfigError, match="no gaze channel"):
+            w.rows()
+
+    def test_windows_of_one_run_share_one_array(self):
+        frames = _frames(100, gaps=(75,))
+        windows = segment(frames, 1, FeatureConfig.POSE_ONLY)
+        assert [w.start_index for w in windows] == [0, 10]
+        first, second = (w.rows() for w in windows)
+        assert np.shares_memory(first, second)
+        assert first[DEFAULT_STRIDE:].tobytes() == second[:-DEFAULT_STRIDE].tobytes()
+
+    def test_rows_hold_the_floats_of_the_cut(self):
+        w = segment(_frames(60), 1, FeatureConfig.POSE_ONLY)[0]
+        before = w.rows().tobytes()
+        object.__setattr__(w.observed[5].state, "x", 9.0)
+        assert w.rows().tobytes() == before
+        assert TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY, w.observed).rows()[5, 0] == 9.0
+
+    def test_replace_reads_the_new_frames(self):
+        w = segment(_frames(60), 1, FeatureConfig.POSE_ONLY)[0]
+        shifted = tuple(replace(f, state=AgentState(f.state.x + 1.0, 0.0, 0.0)) for f in w.observed)
+        moved = replace(w, observed=shifted)
+        assert moved.rows()[:OBS_FRAMES, 0].tolist() == [f.state.x for f in shifted]
+        assert moved.rows()[OBS_FRAMES:].tobytes() == w.rows()[OBS_FRAMES:].tobytes()
