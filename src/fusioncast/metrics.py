@@ -51,13 +51,20 @@ def _kde_nll(clouds: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
     k, t_steps = clouds.shape[-3:-1]
     pts = np.swapaxes(clouds, -3, -2)  # (..., T, K, 2)
     std = pts.std(axis=-2, ddof=1)  # (..., T, 2)
-    degenerate = int(np.count_nonzero(np.all(std == 0.0, axis=-1)))
+    degenerate = int(np.count_nonzero((std[..., 0] == 0.0) & (std[..., 1] == 0.0)))
     bw = np.maximum(std * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)[..., None, :]
-    # One C-ordered scratch array, so each step's K members sit together.
-    diff = np.subtract(pts, truth[..., None, :], order="C")
-    diff /= bw
-    diff *= diff
-    kernel = np.exp(-0.5 * diff.sum(axis=-1)) / (2.0 * math.pi * bw[..., 0] * bw[..., 1])
+    # Scaled squared distance as x term + y term, one C-ordered (..., T, K)
+    # scratch array per axis, so each step's K members sit together.
+    sq = np.subtract(pts[..., 0], truth[..., None, 0], order="C")
+    sq /= bw[..., 0]
+    sq *= sq
+    sq_y = np.subtract(pts[..., 1], truth[..., None, 1], order="C")
+    sq_y /= bw[..., 1]
+    sq_y *= sq_y
+    sq += sq_y
+    sq *= -0.5
+    kernel = np.exp(sq, out=sq)
+    kernel /= 2.0 * math.pi * bw[..., 0] * bw[..., 1]
     density = np.maximum(kernel.mean(axis=-1), KDE_DENSITY_FLOOR)  # (..., T)
     # cumsum adds the steps in order, as a running total would.
     return np.cumsum(-np.log(density), axis=-1)[..., -1] / t_steps, degenerate
@@ -113,8 +120,9 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     predictors.py; all windows are forecast in one call and the ensembles a
     block of windows at a time. Windows are reduced in index order and
     per-window ensemble seeds derive from (seed, index), so reports are
-    reproducible byte-for-byte. Steps whose ensemble is degenerate take the
-    bandwidth floor, and one RuntimeWarning counts them.
+    reproducible byte-for-byte at a fixed BLAS thread count (see fit_ridge).
+    Steps whose ensemble is degenerate take the bandwidth floor, and one
+    RuntimeWarning counts them.
     """
     if k < 2:
         raise ValueError(f"a KDE bandwidth needs K >= 2 ensemble members, got {k}")
@@ -127,7 +135,8 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     pred = predictor.forecast(pos, theta, gaze)
     if pred.shape != truth.shape:
         raise ValueError(f"trajectory length mismatch: {pred.shape} vs {truth.shape}")
-    steps = np.linalg.norm(pred - truth, axis=-1)  # (N, H)
+    ex, ey = np.moveaxis(pred - truth, -1, 0)
+    steps = np.sqrt(ex * ex + ey * ey)  # (N, H), np.linalg.norm's own formula
     nlls, degenerate = [], 0
     block = max(1, _MEMBERS_PER_BLOCK // k)
     for start in range(0, len(windows), block):

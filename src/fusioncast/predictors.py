@@ -121,7 +121,8 @@ def _features(pos, theta, gaze, config: FeatureConfig) -> np.ndarray:
     module docstring); leading axes broadcast."""
     dp = np.zeros(pos.shape)
     dp[..., 1:, :] = pos[..., 1:, :] - pos[..., :-1, :]
-    speed = np.sqrt(np.add.reduce(dp * dp, axis=-1)) / FRAME_DT  # np.linalg.norm's own formula
+    dx, dy = dp[..., 0], dp[..., 1]
+    speed = np.sqrt(dx * dx + dy * dy) / FRAME_DT  # np.linalg.norm's own formula
     heading_delta = np.zeros(theta.shape)
     heading_delta[..., 1:] = wrap_angle(theta[..., 1:] - theta[..., :-1])
     rel_dp = _rotate(dp, -theta[..., -1])
@@ -246,7 +247,8 @@ def fit_ridge(windows, config: FeatureConfig, lam: float = 1e-3) -> RidgeModel:
 
     The windows lie on the fixed 10 Hz grid (sessions.GRID_PERIOD_US), each
     with a full future. lam is checked as RidgeModel checks it, first; lam = 0
-    can raise a numeric error on singular designs.
+    can raise a numeric error on singular designs. Its bits, like those of
+    every matrix product, hold only at a fixed BLAS thread count.
     """
     _check_lam(lam)
     windows = list(windows)

@@ -87,7 +87,7 @@ _SESSION_END = struct.Struct("<IB")
 
 
 def _check_uint(value: int, bits: int, what: str) -> int:
-    if not isinstance(value, int) or value < 0 or value >= (1 << bits):
+    if type(value) is bool or not isinstance(value, int) or not 0 <= value < (1 << bits):
         raise ValidationError(f"{what} must fit in an unsigned {bits}-bit int, got {value!r}")
     return value
 

@@ -57,8 +57,9 @@ class TrajectoryWindow:
     session_id: int
     start_index: int
     feature_config: FeatureConfig
-    observed: tuple[AlignedFrame, ...]
-    future: tuple[AlignedFrame, ...] = ()
+    # Frames are unhashable; equal windows hash alike by the fields above.
+    observed: tuple[AlignedFrame, ...] = field(hash=False)
+    future: tuple[AlignedFrame, ...] = field(default=(), hash=False)
     _rows: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):

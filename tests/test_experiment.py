@@ -7,6 +7,10 @@ KDE-NLL must equal the values recorded in bench/reference_experiment.json.
 
 Robots are scored the same way on their own corpus (10 robots x 40 s, the
 same split and lam, pose only): the ridge must beat constant velocity.
+
+The walkers' head and gaze leads are the cues under test. With both set to
+zero, gaze ridge must score within 1e-3 m of pose ridge (negative control);
+with the default leads it must stay ahead by at least 0.03 m.
 """
 
 import hashlib
@@ -21,7 +25,14 @@ import pytest
 from fusioncast.metrics import evaluate
 from fusioncast.predictors import ConstantVelocityPredictor, fit_ridge
 from fusioncast.sessions import resample
-from fusioncast.simulate import CorpusConfig, generate_corpus
+from fusioncast.simulate import (
+    CorpusConfig,
+    HumanWalkerParams,
+    _derived_seed,
+    corpus_maps,
+    generate_corpus,
+    simulate_human,
+)
 from fusioncast.windows import FeatureConfig, segment, split_sessions
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference_experiment.json"
@@ -32,8 +43,11 @@ REPORTS_SHA256 = "8e858053252b326baa4be5b47ad6d97d960a594880a8dd2f0c4e13479224f4
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _reports(seed):
-    sessions = generate_corpus(CorpusConfig(n_human=10, n_robot=0, duration_s=40.0, seed=seed))
+def _corpus(seed):
+    return generate_corpus(CorpusConfig(n_human=10, n_robot=0, duration_s=40.0, seed=seed))
+
+
+def _reports(sessions, seed):
     frames = {s.session_id: resample(s).frames for s in sessions}
     split = split_sessions(sorted(frames), (0.6, 0.2, 0.2), seed)
     reports = {}
@@ -52,7 +66,7 @@ def _reports(seed):
 def test_gaze_beats_pose_beats_cv_and_matches_reference(seed):
     reference = json.loads(REFERENCE.read_text())
     assert reference["corpus"] == [10, 0, 40.0]
-    reports = _reports(seed)
+    reports = _reports(_corpus(seed), seed)
     assert reports["pose_head_gaze"].ade < reports["pose_only"].ade < reports["cv"].ade
     for name, expected in reference["reports"][str(seed)].items():
         for key in ("ade", "fde", "kde_nll"):
@@ -73,10 +87,41 @@ def test_robot_ridge_beats_cv(seed):
     assert ridge.ade < cv.ade
 
 
+def _walkers(seed, head_lead_s, gaze_lead_s):
+    """The experiment's 10 walkers, built as generate_corpus builds them but
+    with the given head and gaze leads."""
+    maps = corpus_maps(seed)
+    return [simulate_human(maps[i % len(maps)],
+                           HumanWalkerParams(head_lead_s=head_lead_s, gaze_lead_s=gaze_lead_s,
+                                             seed=_derived_seed(seed, 2, i)),
+                           40.0, session_id=i + 1)
+            for i in range(10)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gaze_ridge_gains_nothing_without_leads(seed):
+    # Negative control: with no head or gaze lead, the cue channels carry no
+    # anticipation, so gaze ridge must score as pose ridge does.
+    reports = _reports(_walkers(seed, 0.0, 0.0), seed)
+    assert abs(reports["pose_head_gaze"].ade - reports["pose_only"].ade) <= 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gaze_ridge_gains_with_default_leads(seed):
+    # The same construction with the default leads is the reference
+    # experiment, where gaze ridge leads pose ridge by at least 0.03 m.
+    defaults = HumanWalkerParams()
+    reports = _reports(_walkers(seed, defaults.head_lead_s, defaults.gaze_lead_s), seed)
+    reference = json.loads(REFERENCE.read_text())["reports"][str(seed)]
+    for name in ("pose_only", "pose_head_gaze"):
+        assert reports[name].ade == pytest.approx(reference[name]["ade"], rel=RTOL, abs=0)
+    assert reports["pose_only"].ade - reports["pose_head_gaze"].ade >= 0.03
+
+
 def _reports_digest(seeds) -> str:
     digest = hashlib.sha256()
     for seed in seeds:
-        reports = _reports(seed)
+        reports = _reports(_corpus(seed), seed)
         for name in sorted(reports):
             digest.update(reports[name].to_json().encode())
     return digest.hexdigest()

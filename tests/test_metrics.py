@@ -10,7 +10,13 @@ import pytest
 
 from fusioncast.errors import ConfigError
 from fusioncast.geometry import AgentState
-from fusioncast.metrics import KDE_BANDWIDTH_FLOOR, KDE_DENSITY_FLOOR, SCOTT_EXPONENT, evaluate
+from fusioncast.metrics import (
+    KDE_BANDWIDTH_FLOOR,
+    KDE_DENSITY_FLOOR,
+    SCOTT_EXPONENT,
+    _kde_nll,
+    evaluate,
+)
 from fusioncast.predictors import (
     ConstantVelocityPredictor,
     ensemble_jitter,
@@ -40,7 +46,41 @@ def _gaussian_nll(truth, centre, bw):
     return math.log(2.0 * math.pi * bw[0] * bw[1]) + 0.5 * (dx * dx + dy * dy)
 
 
+def _kde_nll_over_xy_axis(clouds, truth):
+    """The _kde_nll that reduced over the 2-wide xy axis, kept as the oracle
+    of the bits of the two-term sums that replaced it."""
+    k, t_steps = clouds.shape[-3:-1]
+    pts = np.swapaxes(clouds, -3, -2)
+    std = pts.std(axis=-2, ddof=1)
+    degenerate = int(np.count_nonzero(np.all(std == 0.0, axis=-1)))
+    bw = np.maximum(std * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)[..., None, :]
+    diff = np.subtract(pts, truth[..., None, :], order="C")
+    diff /= bw
+    diff *= diff
+    kernel = np.exp(-0.5 * diff.sum(axis=-1)) / (2.0 * math.pi * bw[..., 0] * bw[..., 1])
+    density = np.maximum(kernel.mean(axis=-1), KDE_DENSITY_FLOOR)
+    return np.cumsum(-np.log(density), axis=-1)[..., -1] / t_steps, degenerate
+
+
 class TestKdeNll:
+    @pytest.mark.parametrize("k", [3, 20, 21])
+    def test_bits_match_xy_axis_oracle(self, k):
+        # Seeded (B, K, H, 2) clouds about the truth, of per-window spread,
+        # with one step whose members all coincide (degenerate) and one whose
+        # members differ only in y (not degenerate). The coinciding values
+        # are quarters, so their mean, and so their std of 0, is exact.
+        rng = np.random.default_rng(k)
+        truth = rng.normal(0.0, 10.0, size=(6, HORIZON_FRAMES, 2))
+        spread = rng.uniform(0.01, 1.0, size=(6, 1, HORIZON_FRAMES, 2))
+        clouds = truth[:, None] + rng.normal(0.0, 1.0, size=(6, k, HORIZON_FRAMES, 2)) * spread
+        clouds[2, :, 7] = np.round(truth[2, 7] * 4.0) / 4.0
+        truth[2, 7] = clouds[2, 0, 7] + (3e-4, -2e-4)
+        clouds[4, :, 11, 0] = np.round(truth[4, 11, 0] * 4.0) / 4.0
+        nll, degenerate = _kde_nll(clouds, truth)
+        want, want_degenerate = _kde_nll_over_xy_axis(clouds, truth)
+        assert degenerate == want_degenerate == 1
+        assert nll.shape == (6,) and nll.tobytes() == want.tobytes()
+
     def test_single_member_needs_bandwidth(self):
         # Scott's rule takes the bandwidth from the members' spread.
         with pytest.raises(ValueError, match="bandwidth needs K >= 2"):

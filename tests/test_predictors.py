@@ -13,6 +13,7 @@ from fusioncast.errors import ConfigError, ValidationError
 from fusioncast.geometry import AgentState, wrap_angle
 from fusioncast.metrics import evaluate
 from fusioncast.predictors import (
+    FRAME_DT,
     ConstantVelocityPredictor,
     RidgeModel,
     _features,
@@ -148,6 +149,25 @@ class TestFeatures:
         _, targets = _design([window])
         _, rotated = _design([_rotate_window(window, 1.3)])
         assert np.allclose(targets, rotated, atol=1e-9)
+
+    @pytest.mark.parametrize("config", [FeatureConfig.POSE_ONLY, FeatureConfig.POSE_HEAD_GAZE],
+                             ids=lambda c: c.value)
+    def test_speed_bits_match_norm_oracle(self, config):
+        # The speed column, as two-term sums, against the reduction over the
+        # xy axis that it replaced: a batch, a jittered ensemble of one
+        # window (theta with fewer leading axes) and one window.
+        rng = np.random.default_rng(41)
+        windows = [_random_walk_window(rng, config) for _ in range(12)]
+        pos, theta, gaze, _ = window_arrays(windows, config)
+        one = window_arrays(windows[:1], config)[:3]
+        ensemble = (pos[0] + ensemble_jitter(5, 7, 0.05), theta[0], None if gaze is None else gaze[0])
+        for p, t, g in ((pos, theta, gaze), one, ensemble):
+            dp = np.zeros(p.shape)
+            dp[..., 1:, :] = np.diff(p, axis=-2)
+            want = np.sqrt(np.add.reduce(dp * dp, axis=-1)) / FRAME_DT
+            feats = _features(p, t, g, config)
+            speed = feats.reshape(feats.shape[:-1] + (-1, config.channels))[..., 2]
+            assert speed.shape == want.shape and speed.tobytes() == want.tobytes()
 
     def test_config_mismatch_rejected(self):
         robot_window = _unicycle_window(config=FeatureConfig.ROBOT_POSE_ONLY)

@@ -165,6 +165,23 @@ class TestValidation:
         norm = sum(c * c for c in decoded.orientation) ** 0.5
         assert abs(norm - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("build", [
+        lambda flag: HeadsetSample(flag, 1, (0.0, 0.0, 1.6), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        lambda flag: HeadsetSample(1, flag, (0.0, 0.0, 1.6), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        lambda flag: RobotSample(flag, 1, (0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), 1.0, 0.0),
+        lambda flag: RobotSample(1, flag, (0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), 1.0, 0.0),
+        lambda flag: SessionStart(flag, "human"),
+        lambda flag: SessionEnd(flag),
+        lambda flag: Prediction(flag, 1, ((0.0, 0.0, 0.0),)),
+        lambda flag: Prediction(1, flag, ((0.0, 0.0, 0.0),)),
+    ], ids=["headset_timestamp", "headset_session", "robot_timestamp", "robot_session",
+            "session_start", "session_end", "prediction_timestamp", "prediction_session"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_wire_integers_refuse_bool(self, build, flag):
+        with pytest.raises(ValidationError, match=f"unsigned .* got {flag}"):
+            build(flag)
+        assert decode(encode(build(int(flag))))[0] == build(int(flag))
+
     @pytest.mark.parametrize("make, field, value", [
         (_valid_headset, "position", (float("inf"), 0.0, 0.0)),
         (_valid_headset, "position", (float("nan"), 0.0, 0.0)),
@@ -173,11 +190,12 @@ class TestValidation:
         (_valid_headset, "gaze_local", (0.0, 0.0, 2.0)),
         (_valid_headset, "session_id", 2 ** 32),
         (_valid_headset, "timestamp_us", -1),
+        (_valid_headset, "session_id", True),
         (_valid_robot, "linear_speed", -1.0),
         (_valid_prediction, "states", ((0.0, 0.0, 4.0),)),
     ], ids=["inf_position", "nan_position", "short_position", "non_unit_orientation",
-            "non_unit_gaze", "session_id_too_big", "negative_timestamp", "negative_speed",
-            "theta_out_of_range"])
+            "non_unit_gaze", "session_id_too_big", "negative_timestamp", "bool_session_id",
+            "negative_speed", "theta_out_of_range"])
     def test_encode_rejects_bypassed_construction(self, make, field, value):
         msg = make()
         encode(msg)

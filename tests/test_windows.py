@@ -230,6 +230,15 @@ class TestTrajectoryWindow:
         assert built == w
         assert repr(built) == repr(w) and "_rows" not in repr(w)
 
+    def test_equal_windows_hash_alike(self):
+        frames = _frames(120)
+        first = segment(frames, 1, FeatureConfig.POSE_ONLY)
+        again = segment(frames, 1, FeatureConfig.POSE_ONLY)
+        assert len(first) > 1 and first == again
+        assert [hash(w) for w in first] == [hash(w) for w in again]
+        assert len(set(first) | set(again)) == len(first)
+        assert hash(first[0]) == hash((1, 0, FeatureConfig.POSE_ONLY))
+
     def test_missing_gaze_raises_on_first_use(self):
         frames = tuple(_frames(20, with_gaze=False))
         w = TrajectoryWindow(1, 0, FeatureConfig.POSE_HEAD_GAZE, frames)
