@@ -51,8 +51,13 @@ def _kde_nll(clouds: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
     k, t_steps = clouds.shape[-3:-1]
     pts = np.swapaxes(clouds, -3, -2)  # (..., T, K, 2)
     std = pts.std(axis=-2, ddof=1)  # (..., T, 2)
-    degenerate = int(np.count_nonzero((std[..., 0] == 0.0) & (std[..., 1] == 0.0)))
-    bw = np.maximum(std * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)[..., None, :]
+    bw = np.maximum(std * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)
+    # K equal members can sum with rounding, so their std may miss 0; only a
+    # step floored on both axes can be degenerate, and it is one when every
+    # member equals the first.
+    floored = pts[(bw[..., 0] == KDE_BANDWIDTH_FLOOR) & (bw[..., 1] == KDE_BANDWIDTH_FLOOR)]
+    degenerate = int(np.count_nonzero((floored == floored[:, :1]).all(axis=(1, 2))))
+    bw = bw[..., None, :]
     # Scaled squared distance as x term + y term, one C-ordered (..., T, K)
     # scratch array per axis, so each step's K members sit together.
     sq = np.subtract(pts[..., 0], truth[..., None, 0], order="C")

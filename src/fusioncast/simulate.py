@@ -12,9 +12,12 @@ Robots follow waypoints with yaw-rate-clamped steering and an accel-limited
 (trapezoidal) speed profile; the headset rides rigidly, so orientation equals
 the drive heading and no gaze is emitted.
 
-A corpus is its four CorpusConfig values: the maps are seeded variants of
-BASE_MAP, and walker and robot parameters are their defaults, each session
-with its own seed. The same config yields byte-identical session files.
+The dynamics are module constants: walker speed, noise and turn limits, robot
+cruise speed, acceleration and yaw rate. Only a walker's head and gaze leads
+(the cues under test) and its noise seed are parameters, and a robot's only
+input is its route. A corpus is its four CorpusConfig values: its variety
+comes from the seeds, the seeded variants of BASE_MAP, and each walker's own
+noise. The same config yields byte-identical session files.
 
 The per-step loops work on Python floats, not 2-vectors: at two components
 numpy's per-call overhead costs more than the arithmetic, and a plain float
@@ -51,9 +54,11 @@ START_TIMESTAMP_US = 1_600_000_000_000_000
 EYE_HEIGHT_M = 1.6
 ROBOT_MOUNT_HEIGHT_M = 0.5
 
-# Walker constants (not exposed as params; corpus variety comes from seeds,
-# maps, and the per-walker noise).
+# Walker dynamics, the same for every walker; corpus variety comes from
+# seeds, maps, and the per-walker noise drawn at these levels.
 PREFERRED_SPEED = 1.4  # m/s
+HEADING_NOISE_STD = 0.05  # rad per step
+SPEED_NOISE_STD = 0.05  # m/s per step
 GAZE_PITCH_RAD = -0.1  # constant downward pitch of the gaze
 LOOKAHEAD_M = 1.0
 WALKER_MAX_YAW_RATE = 2.2  # rad/s
@@ -61,6 +66,11 @@ WALKER_ACCEL = 1.5  # m/s^2
 TURN_SLOWDOWN = 0.4
 WALL_MARGIN_M = 0.2
 END_MARGIN_M = 0.5
+
+# Robot drive limits.
+ROBOT_CRUISE_SPEED = 1.0  # m/s
+ROBOT_MAX_ACCEL = 0.5  # m/s^2
+ROBOT_MAX_YAW_RATE = 1.0  # rad/s
 
 MIN_SESSION_DURATION_S = (OBS_FRAMES + HORIZON_FRAMES) * SIM_STEP_US / 1_000_000  # one window
 MIN_ROUTE_LENGTH_M = 2.0
@@ -151,15 +161,15 @@ MIN_VARIANT_WIDTH_M = 1.6
 WAYPOINT_JITTER_M = 0.25  # robot route vertices, per run
 
 
-def map_variant(base: CorridorMap, seed) -> CorridorMap:
-    """Perturb interior corners by up to CORNER_JITTER_M and the width by up
-    to WIDTH_JITTER_M; endpoints stay fixed."""
+def map_variant(seed) -> CorridorMap:
+    """BASE_MAP with its interior corners perturbed by up to CORNER_JITTER_M
+    and its width by up to WIDTH_JITTER_M; endpoints stay fixed."""
     rng = np.random.default_rng(seed)
-    centerline = base.centerline.copy()
+    centerline = BASE_MAP.centerline.copy()
     centerline[1:-1] += rng.uniform(-CORNER_JITTER_M, CORNER_JITTER_M,
                                     size=(len(centerline) - 2, 2))
     width = max(MIN_VARIANT_WIDTH_M,
-                base.width + float(rng.uniform(-WIDTH_JITTER_M, WIDTH_JITTER_M)))
+                BASE_MAP.width + float(rng.uniform(-WIDTH_JITTER_M, WIDTH_JITTER_M)))
     return CorridorMap(centerline=centerline, width=width)
 
 
@@ -167,35 +177,15 @@ def map_variant(base: CorridorMap, seed) -> CorridorMap:
 class HumanWalkerParams:
     head_lead_s: float = 0.4  # head yaw anticipates body heading by this much
     gaze_lead_s: float = 0.8  # gaze anticipates body heading; must be >= head lead
-    heading_noise_std: float = 0.05  # rad per step
-    speed_noise_std: float = 0.05  # m/s per step
-    seed: int = 0
+    seed: int = 0  # of the walker's heading and speed noise
 
     def __post_init__(self):
-        for name in ("head_lead_s", "gaze_lead_s", "heading_noise_std", "speed_noise_std"):
+        for name in ("head_lead_s", "gaze_lead_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not self.gaze_lead_s >= self.head_lead_s:
             raise ValueError(f"need gaze_lead >= head_lead, got {self.gaze_lead_s}/{self.head_lead_s}")
-
-
-@dataclass
-class RobotRunParams:
-    waypoints: tuple = ()
-    cruise_speed: float = 1.0  # m/s
-    max_accel: float = 0.5  # m/s^2
-    max_yaw_rate: float = 1.0  # rad/s
-
-    def __post_init__(self):
-        if self.cruise_speed <= 0 or self.max_accel <= 0 or self.max_yaw_rate <= 0:
-            raise ValueError("robot speeds/rates must be positive and finite")
-        for v in (self.cruise_speed, self.max_accel, self.max_yaw_rate):
-            if not math.isfinite(v):
-                raise ValueError("robot speeds/rates must be finite")
-        self.waypoints = tuple(
-            (float(x), float(y)) for x, y in self.waypoints
-        )
 
 
 @dataclass(slots=True)
@@ -205,8 +195,7 @@ class _WalkerState:
     theta: float
     speed: float
     direction: int  # +1 toward the far end, -1 back
-    params: HumanWalkerParams
-    noise: Iterator[float]  # standard normals, drawn in step order
+    noise: Iterator[float]  # standard normals, heading then speed per step
     # Arc length of (x, y) as _advance_walker projected it, or None when
     # (x, y) was never projected: at the start and after a wall clamp.
     s_proj: float | None = None
@@ -236,17 +225,14 @@ def _steer_walker(corridor: CorridorMap, me: _WalkerState) -> float:
 
 
 def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None:
-    params = me.params
-    if params.heading_noise_std > 0:
-        psi += params.heading_noise_std * next(me.noise)
+    psi += HEADING_NOISE_STD * next(me.noise)
     dtheta = wrap_angle(psi - me.theta)
     max_step = WALKER_MAX_YAW_RATE * SIM_DT
     dtheta = _clamp(dtheta, -max_step, max_step)
     me.theta = wrap_angle(me.theta + dtheta)
 
     v_des = PREFERRED_SPEED * (1.0 - TURN_SLOWDOWN * min(1.0, abs(dtheta) / max_step))
-    if params.speed_noise_std > 0:
-        v_des += params.speed_noise_std * next(me.noise)
+    v_des += SPEED_NOISE_STD * next(me.noise)
     v_des = _clamp(v_des, 0.15, PREFERRED_SPEED * 1.3)
     me.speed += _clamp(v_des - me.speed, -WALKER_ACCEL * SIM_DT, WALKER_ACCEL * SIM_DT)
 
@@ -283,11 +269,9 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
     n_frames = int(round(duration_s / SIM_DT))
     x, y = corridor.point_at(0.0)
     ux, uy = corridor.tangent_at(0.0)
-    # One normal per noisy channel per step, the order the steps use them.
-    draws = n_frames * ((params.heading_noise_std > 0) + (params.speed_noise_std > 0))
-    noise = np.random.default_rng(params.seed).standard_normal(draws).tolist()
+    noise = np.random.default_rng(params.seed).standard_normal(2 * n_frames).tolist()
     walker = _WalkerState(x=x, y=y, theta=math.atan2(uy, ux), speed=PREFERRED_SPEED,
-                          direction=1, params=params, noise=iter(noise))
+                          direction=1, noise=iter(noise))
     positions, body = [], []
     for _ in range(n_frames):
         positions.append((walker.x, walker.y))
@@ -316,26 +300,28 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
     return session
 
 
-def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: float,
+def simulate_robot(corridor: CorridorMap, waypoints, duration_s: float,
                    session_id: int = 1, label: str = "") -> Session:
-    """Drive waypoints with clamped yaw rate and accel-limited speed."""
+    """Drive a route of two or more (x, y) waypoints, starting on the first,
+    with clamped yaw rate and accel-limited speed."""
     _check_duration(duration_s)
-    if not params.waypoints:
-        raise GenerationError("robot run needs at least one waypoint")
-    for idx, wp in enumerate(params.waypoints):
+    wps = tuple((float(x), float(y)) for x, y in waypoints)
+    if len(wps) < 2:
+        raise GenerationError(f"robot route needs at least two waypoints, got {len(wps)}")
+    for idx, wp in enumerate(wps):
         if not abs(corridor.project(wp)[1]) <= corridor.width / 2:
             raise GenerationError(f"waypoint {idx} at {wp} lies outside the corridor")
     n_frames = int(round(duration_s / SIM_DT))
-    wps = params.waypoints
     legs = [math.sqrt((bx - ax) * (bx - ax) + (by - ay) * (by - ay))
             for (ax, ay), (bx, by) in zip(wps, wps[1:])]
 
     x, y = wps[0]
-    target_idx = 1 if len(wps) > 1 else len(wps)
-    theta = math.atan2(wps[1][1] - y, wps[1][0] - x) if len(wps) > 1 else 0.0
+    target_idx = 1
+    theta = math.atan2(wps[1][1] - y, wps[1][0] - x)
     speed = 0.0
     yaw_rate = 0.0
-    max_dstep = params.max_yaw_rate * SIM_DT
+    max_dstep = ROBOT_MAX_YAW_RATE * SIM_DT
+    max_dv = ROBOT_MAX_ACCEL * SIM_DT
 
     # Stall detection: the closest approach to the current target must keep
     # improving, otherwise the waypoint is unreachable.
@@ -366,10 +352,7 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
                 best_dist = math.inf
                 stall_steps = 0
                 if target_idx >= len(wps):
-                    v_des = 0.0
-                    dtheta = 0.0
-                    speed += _clamp(v_des - speed, -params.max_accel * SIM_DT,
-                                    params.max_accel * SIM_DT)
+                    speed += _clamp(-speed, -max_dv, max_dv)
                     yaw_rate = 0.0
                     continue
                 dx, dy = wps[target_idx][0] - x, wps[target_idx][1] - y
@@ -390,13 +373,13 @@ def simulate_robot(corridor: CorridorMap, params: RobotRunParams, duration_s: fl
             remaining = dist
             for leg in legs[target_idx:]:
                 remaining += leg
-            v_stop = math.sqrt(2.0 * params.max_accel * max(remaining - 0.02, 0.0))
-            v_turn = params.cruise_speed if abs(heading_err) < 0.15 else 0.25
-            v_des = min(params.cruise_speed, v_stop, v_turn)
+            v_stop = math.sqrt(2.0 * ROBOT_MAX_ACCEL * max(remaining - 0.02, 0.0))
+            v_turn = ROBOT_CRUISE_SPEED if abs(heading_err) < 0.15 else 0.25
+            v_des = min(ROBOT_CRUISE_SPEED, v_stop, v_turn)
 
         theta = wrap_angle(theta + dtheta)
         yaw_rate = dtheta / SIM_DT
-        speed += _clamp(v_des - speed, -params.max_accel * SIM_DT, params.max_accel * SIM_DT)
+        speed += _clamp(v_des - speed, -max_dv, max_dv)
         step = speed * SIM_DT
         x, y = x + step * math.cos(theta), y + step * math.sin(theta)
     session.end()
@@ -440,7 +423,7 @@ def _derived_seed(master: int, stream: int, index: int) -> int:
 
 
 def corpus_maps(seed: int) -> list[CorridorMap]:
-    return [map_variant(BASE_MAP, seed=_derived_seed(seed, 1, v)) for v in range(N_MAP_VARIANTS)]
+    return [map_variant(_derived_seed(seed, 1, v)) for v in range(N_MAP_VARIANTS)]
 
 
 def _robot_waypoints(corridor: CorridorMap, rng) -> tuple:
@@ -474,7 +457,7 @@ def generate_corpus(config: CorpusConfig) -> list[Session]:
         corridor = maps[variant]
         rng = np.random.default_rng(_derived_seed(config.seed, 3, j))
         sessions.append(simulate_robot(
-            corridor, RobotRunParams(waypoints=_robot_waypoints(corridor, rng)),
-            config.duration_s, session_id=config.n_human + j + 1, label=f"map{variant}",
+            corridor, _robot_waypoints(corridor, rng), config.duration_s,
+            session_id=config.n_human + j + 1, label=f"map{variant}",
         ))
     return sessions

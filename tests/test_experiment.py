@@ -8,16 +8,19 @@ KDE-NLL must equal the values recorded in bench/reference_experiment.json.
 Robots are scored the same way on their own corpus (10 robots x 40 s, the
 same split and lam, pose only): the ridge must beat constant velocity.
 
-The walkers' head and gaze leads are the cues under test. With both set to
-zero, gaze ridge must score within 1e-3 m of pose ridge (negative control);
-with the default leads it must stay ahead by at least 0.03 m.
+The walkers' head and gaze leads are the cues under test, and these controls
+are why they are parameters. With both set to zero, gaze ridge must score
+within 1e-3 m of pose ridge. With equal leads the gaze shows nothing the head
+does not, so gaze ridge must not beat pose ridge. With a gaze lead alone,
+gaze ridge must lead by at least 0.1 m while the pose-only reports stay those
+of the no-lead run. With the default leads, gaze ridge must stay ahead by at
+least 0.03 m, and the head lead must gain pose ridge at least 0.1 m over the
+no-lead run.
 """
 
+import functools
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -40,7 +43,6 @@ RTOL = 1e-12
 # SHA-256 of the report JSONs of seeds 0-2 (see _reports_digest), recorded
 # from an earlier build of the package with one BLAS thread.
 REPORTS_SHA256 = "8e858053252b326baa4be5b47ad6d97d960a594880a8dd2f0c4e13479224f4a6"
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _corpus(seed):
@@ -98,24 +100,55 @@ def _walkers(seed, head_lead_s, gaze_lead_s):
             for i in range(10)]
 
 
+@functools.cache
+def _lead_reports(seed, head_lead_s, gaze_lead_s):
+    """The reports of _walkers(seed, head_lead_s, gaze_lead_s), which the
+    no-lead run shares among three controls."""
+    return _reports(_walkers(seed, head_lead_s, gaze_lead_s), seed)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gaze_ridge_gains_nothing_without_leads(seed):
     # Negative control: with no head or gaze lead, the cue channels carry no
     # anticipation, so gaze ridge must score as pose ridge does.
-    reports = _reports(_walkers(seed, 0.0, 0.0), seed)
+    reports = _lead_reports(seed, 0.0, 0.0)
     assert abs(reports["pose_head_gaze"].ade - reports["pose_only"].ade) <= 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gaze_ridge_gains_nothing_over_equal_leads(seed):
+    # Negative control: gaze that leads by as much as the head adds no
+    # anticipation to the head yaw that pose ridge already sees (gaze ridge
+    # read 0.0007-0.0117 m behind).
+    reports = _lead_reports(seed, 0.4, 0.4)
+    assert reports["pose_head_gaze"].ade >= reports["pose_only"].ade
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gaze_ridge_gains_with_gaze_lead_only(seed):
+    # Positive control: a gaze lead alone is all gaze ridge's margin (read
+    # 0.142-0.158 m). The body path and head yaw do not depend on the gaze
+    # lead, so the pose-only reports are the no-lead run's to the byte.
+    reports = _lead_reports(seed, 0.0, 0.8)
+    assert reports["pose_only"].ade - reports["pose_head_gaze"].ade >= 0.1
+    no_leads = _lead_reports(seed, 0.0, 0.0)
+    for name in ("pose_only", "cv"):
+        assert reports[name].to_json() == no_leads[name].to_json()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gaze_ridge_gains_with_default_leads(seed):
     # The same construction with the default leads is the reference
-    # experiment, where gaze ridge leads pose ridge by at least 0.03 m.
+    # experiment, where gaze ridge leads pose ridge by at least 0.03 m, and
+    # the head lead gains pose ridge at least 0.1 m over the no-lead run
+    # (read 0.145-0.237 m).
     defaults = HumanWalkerParams()
-    reports = _reports(_walkers(seed, defaults.head_lead_s, defaults.gaze_lead_s), seed)
+    reports = _lead_reports(seed, defaults.head_lead_s, defaults.gaze_lead_s)
     reference = json.loads(REFERENCE.read_text())["reports"][str(seed)]
     for name in ("pose_only", "pose_head_gaze"):
         assert reports[name].ade == pytest.approx(reference[name]["ade"], rel=RTOL, abs=0)
     assert reports["pose_only"].ade - reports["pose_head_gaze"].ade >= 0.03
+    assert _lead_reports(seed, 0.0, 0.0)["pose_only"].ade - reports["pose_only"].ade >= 0.1
 
 
 def _reports_digest(seeds) -> str:
@@ -127,17 +160,11 @@ def _reports_digest(seeds) -> str:
     return digest.hexdigest()
 
 
-def test_report_bytes_pinned():
-    # Every byte of every report, not the values within RTOL. The BLAS thread
-    # count changes the bits of the fit, so the pipeline runs in a child
-    # process with one thread, as the benchmark runs it. The floats come from
-    # numpy, BLAS and libm, so another platform may need its own digest.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == REPORTS_SHA256
+def test_report_bytes_pinned(one_thread_stdout):
+    # Every byte of every report, not the values within RTOL, computed with
+    # one BLAS thread (see conftest). The floats come from numpy, BLAS and
+    # libm, so another platform may need its own digest.
+    assert one_thread_stdout(__file__) == REPORTS_SHA256
 
 
 if __name__ == "__main__":

@@ -115,6 +115,22 @@ class TestKdeNll:
             report = evaluate(cv, windows, FeatureConfig.POSE_ONLY, k=4, sigma=0.0)
         assert report.kde_nll == pytest.approx(expected, rel=RTOL)
 
+    @pytest.mark.parametrize("k", [4, 8, 20, 21])
+    def test_degenerate_count_exact(self, k):
+        # sigma = 0 makes all K members of a step one forecast, but K equal
+        # members can sum with rounding, so their std may miss 0: here it does
+        # at K 8, 20 and 21, where a count of zero stds read 179, 39 and 30.
+        config = FeatureConfig.POSE_ONLY
+        windows = [w for s in generate_corpus(CorpusConfig(6, 0, 8.0, seed=3))
+                   for w in segment(resample(s).frames, s.session_id, config)]
+        pos, theta, gaze, _ = window_arrays(windows, config, future=True)
+        clouds = ConstantVelocityPredictor(config).forecast(pos[:, None] + np.zeros((k, 1, 2)),
+                                                            theta[:, None], None)
+        stds = np.swapaxes(clouds, 1, 2).std(axis=2, ddof=1)
+        assert np.all(stds == 0.0) == (k == 4)
+        with pytest.warns(RuntimeWarning, match="at 720 of 720 "):
+            evaluate(ConstantVelocityPredictor(config), windows, config, k=k, sigma=0.0)
+
 
 @pytest.fixture(scope="module")
 def corpus_windows():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fusioncast import simulate
 from fusioncast.errors import ConfigError, GenerationError
 from fusioncast.geometry import heading_and_rotate, wrap_angle
 from fusioncast.sessions import save_session
@@ -16,12 +17,14 @@ from fusioncast.simulate import (
     MIN_SESSION_DURATION_S,
     N_MAP_VARIANTS,
     PREFERRED_SPEED,
+    ROBOT_CRUISE_SPEED,
+    ROBOT_MAX_ACCEL,
+    ROBOT_MAX_YAW_RATE,
     WALL_MARGIN_M,
     WIDTH_JITTER_M,
     CorpusConfig,
     CorridorMap,
     HumanWalkerParams,
-    RobotRunParams,
     _clamp,
     corpus_maps,
     generate_corpus,
@@ -43,6 +46,13 @@ def _l_shape(width=2.6):
 
 def _world_gaze(session):
     return [heading_and_rotate(msg.orientation, msg.gaze_local)[1] for msg in session.messages]
+
+
+@pytest.fixture
+def noise_free(monkeypatch):
+    """A walker with neither heading nor speed noise."""
+    monkeypatch.setattr(simulate, "HEADING_NOISE_STD", 0.0)
+    monkeypatch.setattr(simulate, "SPEED_NOISE_STD", 0.0)
 
 
 def _first_crossing(values, level):
@@ -145,9 +155,8 @@ class TestClamp:
 
 
 class TestSimulateHuman:
-    def test_straight_zero_noise(self):
-        params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0)
-        session = simulate_human(_straight(), params, 10.0)
+    def test_straight_zero_noise(self, noise_free):
+        session = simulate_human(_straight(), HumanWalkerParams(), 10.0)
         headings = [heading_and_rotate(p.orientation)[0] for p in session.messages]
         assert max(abs(h) for h in headings) < 1e-9
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
@@ -156,11 +165,10 @@ class TestSimulateHuman:
         speeds = np.linalg.norm(np.diff(pos, axis=0), axis=1) / 0.1
         assert np.allclose(speeds, PREFERRED_SPEED, atol=1e-6)
 
-    def test_corner_gaze_precedes_body(self):
+    def test_corner_gaze_precedes_body(self, noise_free):
         # Oracle: event-time extraction from the generated trace. Gaze yaw must
         # cross the 45-degree turn midpoint at least 0.3 s before the body course.
-        params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0,
-                                   gaze_lead_s=0.8, head_lead_s=0.4)
+        params = HumanWalkerParams(gaze_lead_s=0.8, head_lead_s=0.4)
         session = simulate_human(_l_shape(), params, 15.0)
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
         pos = np.array([p.position[:2] for p in session.messages])
@@ -171,10 +179,9 @@ class TestSimulateHuman:
         assert t_gaze is not None and t_body is not None
         assert (t_body - t_gaze) * 0.1 >= 0.3
 
-    def test_anticipation_ordering(self):
+    def test_anticipation_ordering(self, noise_free):
         # gaze crossing <= head crossing <= body crossing, strict for strict leads.
-        params = HumanWalkerParams(heading_noise_std=0.0, speed_noise_std=0.0,
-                                   gaze_lead_s=0.8, head_lead_s=0.4)
+        params = HumanWalkerParams(gaze_lead_s=0.8, head_lead_s=0.4)
         session = simulate_human(_l_shape(), params, 15.0)
         head_yaws = [heading_and_rotate(p.orientation)[0] for p in session.messages]
         gaze_yaws = [math.atan2(g[1], g[0]) for g in _world_gaze(session)]
@@ -205,7 +212,7 @@ class TestSimulateHuman:
         with pytest.raises(ValueError):
             simulate_human(_straight(), HumanWalkerParams(), 2.0)
 
-    # (map seed, width, heading_noise_std, seed) of a 30 s walk on a corridor
+    # (map seed, width, HEADING_NOISE_STD, seed) of a 30 s walk on a corridor
     # squeezed so narrow that the walker hits the walls, and the SHA-256 of
     # its saved session, recorded before the walker kept its projection
     # between steps. Map seed None is BASE_MAP's own centerline. On its axis-
@@ -220,15 +227,16 @@ class TestSimulateHuman:
     ]
 
     @staticmethod
-    def _narrow_walk(map_seed, width, noise, seed):
-        base = BASE_MAP if map_seed is None else map_variant(BASE_MAP, seed=map_seed)
+    def _narrow_walk(monkeypatch, map_seed, width, noise, seed):
+        base = BASE_MAP if map_seed is None else map_variant(map_seed)
         corridor = CorridorMap(base.centerline, width)
-        params = HumanWalkerParams(heading_noise_std=noise, seed=seed)
-        return corridor, simulate_human(corridor, params, 30.0)
+        monkeypatch.setattr(simulate, "HEADING_NOISE_STD", noise)
+        return corridor, simulate_human(corridor, HumanWalkerParams(seed=seed), 30.0)
 
     @pytest.mark.parametrize("map_seed,width,noise,seed,digest", WALL_CLAMP_WALKS)
-    def test_wall_clamped_walk_pinned(self, tmp_path, map_seed, width, noise, seed, digest):
-        corridor, session = self._narrow_walk(map_seed, width, noise, seed)
+    def test_wall_clamped_walk_pinned(self, tmp_path, monkeypatch, map_seed, width, noise, seed,
+                                      digest):
+        corridor, session = self._narrow_walk(monkeypatch, map_seed, width, noise, seed)
         max_lat = width / 2 - WALL_MARGIN_M
         at_wall = sum(abs(abs(corridor.project(msg.position[:2])[1]) - max_lat) < 1e-9
                       for msg in session.messages)
@@ -250,7 +258,7 @@ class TestSimulateHuman:
                 counts[name] += 1
                 return real(self, arg)
             monkeypatch.setattr(CorridorMap, name, counting)
-        _corridor, session = self._narrow_walk(map_seed, width, noise, seed)
+        _corridor, session = self._narrow_walk(monkeypatch, map_seed, width, noise, seed)
         clamps = counts["tangent_at"] - 1
         assert counts["project"] <= len(session.messages) + clamps + 1
         assert (clamps > 0) == (width < BASE_MAP.width)
@@ -265,10 +273,7 @@ class TestSimulateHuman:
             HumanWalkerParams(gaze_lead_s=0.2, head_lead_s=0.5)
 
     @pytest.mark.parametrize("field,value", [
-        ("head_lead_s", math.nan), ("gaze_lead_s", math.inf),
-        ("heading_noise_std", -0.01), ("heading_noise_std", math.nan),
-        ("heading_noise_std", math.inf), ("speed_noise_std", -0.01),
-        ("speed_noise_std", math.inf), ("speed_noise_std", math.nan),
+        ("head_lead_s", math.nan), ("head_lead_s", -0.01), ("gaze_lead_s", math.inf),
     ])
     def test_walker_params_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -276,63 +281,64 @@ class TestSimulateHuman:
 
 
 class TestSimulateRobot:
+    RIGHT_ANGLE = CorridorMap(np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0]]), 2.6)
+    RIGHT_ANGLE_ROUTE = ((0.0, 0.0), (8.0, 0.0), (8.0, 8.0))
+
     def test_straight_run_reaches_goal(self):
         # Oracle: kinematic integration check on the trace.
-        corridor = _straight(12.0)
-        params = RobotRunParams(waypoints=((0.0, 0.0), (10.0, 0.0)),
-                                cruise_speed=1.0, max_accel=0.5, max_yaw_rate=1.0)
-        session = simulate_robot(corridor, params, 25.0)
+        session = simulate_robot(_straight(12.0), ((0.0, 0.0), (10.0, 0.0)), 25.0)
         pos = np.array([p.position[:2] for p in session.messages])
         speeds = np.array([m.linear_speed for m in session.messages])
         assert np.linalg.norm(pos[-1] - [10.0, 0.0]) < 0.05
-        assert speeds.max() <= params.cruise_speed + EPS
+        assert speeds.max() <= ROBOT_CRUISE_SPEED + EPS
 
     def test_short_duration_rejected(self):
         # Like a walker, a robot session must hold at least one window.
-        params = RobotRunParams(waypoints=((0.0, 0.0), (10.0, 0.0)))
+        route = ((0.0, 0.0), (10.0, 0.0))
         for duration in (0.04, 1.0, MIN_SESSION_DURATION_S - 0.01):
             with pytest.raises(ValueError, match="duration"):
-                simulate_robot(_straight(), params, duration)
+                simulate_robot(_straight(), route, duration)
         with pytest.raises(ValueError, match="duration"):
             generate_corpus(CorpusConfig(n_human=0, n_robot=6, duration_s=1.0, seed=0))
-        assert len(simulate_robot(_straight(), params, MIN_SESSION_DURATION_S).messages) == 60
+        assert len(simulate_robot(_straight(), route, MIN_SESSION_DURATION_S).messages) == 60
 
     def test_empty_waypoints_rejected(self):
-        with pytest.raises(GenerationError):
-            simulate_robot(_straight(), RobotRunParams(waypoints=()), 10.0)
+        # A route is a start and at least one goal.
+        for route in ((), ((0.0, 0.0),)):
+            with pytest.raises(GenerationError, match="two waypoints"):
+                simulate_robot(_straight(), route, 10.0)
 
     def test_right_angle_respects_yaw_limit(self):
         # Oracle: finite-difference yaw over the trace.
-        corridor = CorridorMap(np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0]]), 2.6)
-        params = RobotRunParams(waypoints=((0.0, 0.0), (8.0, 0.0), (8.0, 8.0)),
-                                cruise_speed=1.2, max_accel=0.6, max_yaw_rate=0.9)
-        session = simulate_robot(corridor, params, 40.0)
+        session = simulate_robot(self.RIGHT_ANGLE, self.RIGHT_ANGLE_ROUTE, 40.0)
         headings = [heading_and_rotate(p.orientation)[0] for p in session.messages]
         for a, b in zip(headings, headings[1:]):
-            assert abs(wrap_angle(b - a)) <= params.max_yaw_rate * 0.1 + EPS
+            assert abs(wrap_angle(b - a)) <= ROBOT_MAX_YAW_RATE * 0.1 + EPS
         for msg in session.messages:
-            assert abs(msg.yaw_rate) <= params.max_yaw_rate + EPS
+            assert abs(msg.yaw_rate) <= ROBOT_MAX_YAW_RATE + EPS
+        # The corner turns at the limit, so the bound is the clamp's doing.
+        assert max(abs(msg.yaw_rate) for msg in session.messages) == ROBOT_MAX_YAW_RATE
 
     def test_speed_slew_bounded(self):
-        corridor = CorridorMap(np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 8.0]]), 2.6)
-        params = RobotRunParams(waypoints=((0.0, 0.0), (8.0, 0.0), (8.0, 8.0)),
-                                cruise_speed=1.2, max_accel=0.6, max_yaw_rate=0.9)
-        session = simulate_robot(corridor, params, 40.0)
+        session = simulate_robot(self.RIGHT_ANGLE, self.RIGHT_ANGLE_ROUTE, 40.0)
         speeds = [m.linear_speed for m in session.messages]
         for a, b in zip(speeds, speeds[1:]):
-            assert abs(b - a) <= params.max_accel * 0.1 + EPS
+            assert abs(b - a) <= ROBOT_MAX_ACCEL * 0.1 + EPS
+        # Pulling away from rest speeds up at the limit.
+        assert speeds[1] - speeds[0] == pytest.approx(ROBOT_MAX_ACCEL * 0.1, abs=EPS)
 
     def test_waypoint_outside_corridor_rejected(self):
         with pytest.raises(GenerationError, match="waypoint 1"):
-            simulate_robot(_straight(), RobotRunParams(waypoints=((0.0, 0.0), (5.0, 9.0))), 10.0)
+            simulate_robot(_straight(), ((0.0, 0.0), (5.0, 9.0)), 10.0)
 
     def test_unreachable_waypoint_stalls(self):
-        # max_yaw_rate of ~0 can never turn the robot around to a behind-it goal.
-        corridor = _straight(30.0)
-        params = RobotRunParams(waypoints=((5.0, 0.0), (10.0, 0.0), (4.0, 0.0)),
-                                cruise_speed=1.0, max_accel=0.5, max_yaw_rate=1e-6)
+        # Past (8, 0) the robot slows to its turning speed of 0.25 m/s, which
+        # at its yaw limit is a circle of 0.25 m radius. The last goal lies
+        # inside that circle, 0.11 m from it at best, so the robot orbits the
+        # goal without ever capturing it until the stall check fires.
+        route = ((5.0, 0.0), (8.0, 0.0), (8.2, 0.3))
         with pytest.raises(GenerationError, match="unreachable"):
-            simulate_robot(corridor, params, 120.0)
+            simulate_robot(_straight(30.0), route, 120.0)
 
 
 def _corpus_digest(config, directory):
@@ -420,7 +426,7 @@ class TestCorpus:
         assert [s.agent_kind for s in sessions] == ["human"] * 4 + ["robot"] * 3
 
     def test_map_variant_determinism(self):
-        a = map_variant(BASE_MAP, seed=4)
-        b = map_variant(BASE_MAP, seed=4)
+        a = map_variant(4)
+        b = map_variant(4)
         assert np.array_equal(a.centerline, b.centerline)
         assert a.width == b.width
