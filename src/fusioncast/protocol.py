@@ -20,15 +20,24 @@ checks, never a second validator. The telemetry samples, built several times
 for every recorded frame (simulator, encode, decode), check in one pass:
 their hand-written __init__ takes exact tuples of the right lengths and ints
 in range, tests the position (and a robot's speed and yaw rate) by one sum
-and each unit tuple by one sum of squares, and sets each field once. Any
-other input, or any failed test, goes to the per-field validators below,
-which alone raise, with their errors in their order; their fast path costs
-one sum per float tuple, and only a non-finite sum checks each component.
+and each unit tuple by one sum of squares, and stores each field once,
+through its slot descriptor's __set__ (a frozen dataclass's own __setattr__
+refuses). Any other input, or any failed test, goes to the per-field
+validators below, which alone raise, with their errors in their order; their
+fast path costs one sum per float tuple, and only a non-finite sum checks
+each component.
 A Prediction takes one sum over the floats of all its states, with its
 lengths and theta range checked in the same pass; when any of that fails,
 the per-state checks run and raise what they always raised.
 geometry.AgentState checks with one isfinite call per field; the aligned
 frames and predicted steps skip even that, as their values were checked once.
+
+Each telemetry type has one frame struct, header included (_HEADSET_FRAME,
+_ROBOT_FRAME), so a sample is encoded by one pack after its checks and
+decoded by one unpack once its tag and length are known. A telemetry frame
+whose length is wrong takes the same header checks as every other frame and
+fails on its payload size. Every message type has one route in encode and
+one in decode.
 
 Payloads:
 
@@ -49,7 +58,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 from .errors import ProtocolError, ValidationError
@@ -79,8 +88,11 @@ _AGENT_CODES = {AGENT_HUMAN: 0, AGENT_ROBOT: 1}
 _AGENT_NAMES = {0: AGENT_HUMAN, 1: AGENT_ROBOT}
 
 _HEADER = struct.Struct("<IB")
-_HEADSET = struct.Struct("<QI10d")
-_ROBOT = struct.Struct("<QI9d")
+# Whole telemetry frames: u32 length, u8 msg_type, then the payload.
+_HEADSET_FRAME = struct.Struct("<IBQI10d")
+_ROBOT_FRAME = struct.Struct("<IBQI9d")
+_HEADSET_FRAME_LEN = _HEADSET_FRAME.size - 4  # the length field's value
+_ROBOT_FRAME_LEN = _ROBOT_FRAME.size - 4
 _PREDICTION_HEAD = struct.Struct("<QIH")
 _SESSION_START_HEAD = struct.Struct("<IBH")
 _SESSION_END = struct.Struct("<IB")
@@ -148,8 +160,10 @@ class SessionStart:
 
     def __post_init__(self):
         _check_uint(self.session_id, 32, "session_id")
-        if self.agent_kind not in _AGENT_CODES:
+        if not isinstance(self.agent_kind, str) or self.agent_kind not in _AGENT_CODES:
             raise ValidationError(f"agent_kind must be 'human' or 'robot', got {self.agent_kind!r}")
+        if not isinstance(self.label, str):
+            raise ValidationError(f"label must be a str, got {self.label!r}")
         if len(self.label.encode("utf-8")) > 0xFFFF:
             raise ValidationError("label longer than 65535 bytes")
 
@@ -161,6 +175,8 @@ class SessionEnd:
 
     def __post_init__(self):
         _check_uint(self.session_id, 32, "session_id")
+        if not isinstance(self.complete, bool):
+            raise ValidationError(f"complete must be a bool, got {self.complete!r}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -196,12 +212,11 @@ class HeadsetSample:
             position = _check_finite_tuple(position, 3, "position")
             orientation = _check_unit_tuple(orientation, 4, "orientation")
             gaze_local = _check_unit_tuple(gaze_local, 3, "gaze_local")
-        set_field = object.__setattr__
-        set_field(self, "timestamp_us", timestamp_us)
-        set_field(self, "session_id", session_id)
-        set_field(self, "position", position)
-        set_field(self, "orientation", orientation)
-        set_field(self, "gaze_local", gaze_local)
+        _set_headset_timestamp(self, timestamp_us)
+        _set_headset_session(self, session_id)
+        _set_headset_position(self, position)
+        _set_headset_orientation(self, orientation)
+        _set_headset_gaze(self, gaze_local)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -239,13 +254,21 @@ class RobotSample:
                 raise ValidationError(f"linear_speed must be finite and >= 0, got {speed!r}")
             if not math.isfinite(yaw_rate):
                 raise ValidationError(f"yaw_rate must be finite, got {yaw_rate!r}")
-        set_field = object.__setattr__
-        set_field(self, "timestamp_us", timestamp_us)
-        set_field(self, "session_id", session_id)
-        set_field(self, "position", position)
-        set_field(self, "orientation", orientation)
-        set_field(self, "linear_speed", speed)
-        set_field(self, "yaw_rate", yaw_rate)
+        _set_robot_timestamp(self, timestamp_us)
+        _set_robot_session(self, session_id)
+        _set_robot_position(self, position)
+        _set_robot_orientation(self, orientation)
+        _set_robot_speed(self, speed)
+        _set_robot_yaw_rate(self, yaw_rate)
+
+
+# The slot descriptors' stores, which the frozen dataclasses' __setattr__
+# cannot block; the constructors above set each field through one of them.
+(_set_headset_timestamp, _set_headset_session, _set_headset_position, _set_headset_orientation,
+ _set_headset_gaze) = (getattr(HeadsetSample, f.name).__set__ for f in fields(HeadsetSample))
+(_set_robot_timestamp, _set_robot_session, _set_robot_position, _set_robot_orientation,
+ _set_robot_speed, _set_robot_yaw_rate) = (getattr(RobotSample, f.name).__set__
+                                           for f in fields(RobotSample))
 
 
 @dataclass(frozen=True)
@@ -289,46 +312,45 @@ def _fast_prediction_states(raw: tuple) -> tuple[tuple[float, float, float], ...
 Message = Hello | SessionStart | SessionEnd | HeadsetSample | RobotSample | Prediction
 
 
-def _payload(msg: Message) -> tuple[int, bytes]:
-    if isinstance(msg, Hello):
-        return MSG_HELLO, b""
-    if isinstance(msg, SessionStart):
-        label = msg.label.encode("utf-8")
-        return MSG_SESSION_START, _SESSION_START_HEAD.pack(
-            msg.session_id, _AGENT_CODES[msg.agent_kind], len(label)
-        ) + label
-    if isinstance(msg, SessionEnd):
-        return MSG_SESSION_END, _SESSION_END.pack(msg.session_id, 1 if msg.complete else 0)
-    if isinstance(msg, HeadsetSample):
-        return MSG_HEADSET_SAMPLE, _HEADSET.pack(
-            msg.timestamp_us, msg.session_id, *msg.position, *msg.orientation, *msg.gaze_local
-        )
-    if isinstance(msg, RobotSample):
-        return MSG_ROBOT_SAMPLE, _ROBOT.pack(
-            msg.timestamp_us, msg.session_id, *msg.position, *msg.orientation,
-            msg.linear_speed, msg.yaw_rate,
-        )
-    if isinstance(msg, Prediction):
-        count = len(msg.states)
-        return MSG_PREDICTION, _PREDICTION_HEAD.pack(
-            msg.timestamp_us, msg.session_id, count
-        ) + struct.pack(f"<{3 * count}d", *chain.from_iterable(msg.states))
-    raise ValidationError(f"not a wire message: {msg!r}")
-
-
 def encode(msg: Message) -> bytes:
-    """Encode one message as a length-prefixed frame."""
-    # Re-validate with the constructor's own checks: a frozen message can still
-    # be changed through object.__setattr__.
+    """Encode one message as a length-prefixed frame.
+
+    Each message first re-runs its constructor's own checks: a frozen message
+    can still be changed through object.__setattr__.
+    """
     if isinstance(msg, HeadsetSample):
         msg.__init__(msg.timestamp_us, msg.session_id, msg.position, msg.orientation,
                      msg.gaze_local)
-    elif isinstance(msg, RobotSample):
+        return _HEADSET_FRAME.pack(_HEADSET_FRAME_LEN, MSG_HEADSET_SAMPLE, msg.timestamp_us,
+                                   msg.session_id, *msg.position, *msg.orientation,
+                                   *msg.gaze_local)
+    if isinstance(msg, RobotSample):
         msg.__init__(msg.timestamp_us, msg.session_id, msg.position, msg.orientation,
                      msg.linear_speed, msg.yaw_rate)
-    elif hasattr(msg, "__post_init__"):
+        return _ROBOT_FRAME.pack(_ROBOT_FRAME_LEN, MSG_ROBOT_SAMPLE, msg.timestamp_us,
+                                 msg.session_id, *msg.position, *msg.orientation,
+                                 msg.linear_speed, msg.yaw_rate)
+    if isinstance(msg, Hello):
+        return _frame(MSG_HELLO, b"")
+    if isinstance(msg, SessionStart):
         msg.__post_init__()
-    tag, payload = _payload(msg)
+        label = msg.label.encode("utf-8")
+        return _frame(MSG_SESSION_START, _SESSION_START_HEAD.pack(
+            msg.session_id, _AGENT_CODES[msg.agent_kind], len(label)
+        ) + label)
+    if isinstance(msg, SessionEnd):
+        msg.__post_init__()
+        return _frame(MSG_SESSION_END, _SESSION_END.pack(msg.session_id, 1 if msg.complete else 0))
+    if isinstance(msg, Prediction):
+        msg.__post_init__()
+        count = len(msg.states)
+        return _frame(MSG_PREDICTION, _PREDICTION_HEAD.pack(
+            msg.timestamp_us, msg.session_id, count
+        ) + struct.pack(f"<{3 * count}d", *chain.from_iterable(msg.states)))
+    raise ValidationError(f"not a wire message: {msg!r}")
+
+
+def _frame(tag: int, payload: bytes) -> bytes:
     length = 1 + len(payload)
     if length > MAX_FRAME_LEN:
         raise ValidationError(f"frame length {length} exceeds {MAX_FRAME_LEN}")
@@ -361,16 +383,11 @@ def _decode_payload(tag: int, buf, start: int, end: int) -> Message:
             raise ProtocolError(f"SessionEnd payload must be {_SESSION_END.size} bytes")
         sid, complete = _SESSION_END.unpack_from(buf, start)
         return SessionEnd(sid, bool(complete))
-    if tag == MSG_HEADSET_SAMPLE:
-        if size != _HEADSET.size:
-            raise ProtocolError(f"HeadsetSample payload must be {_HEADSET.size} bytes, got {size}")
-        vals = _HEADSET.unpack_from(buf, start)
-        return HeadsetSample(vals[0], vals[1], vals[2:5], vals[5:9], vals[9:12])
-    if tag == MSG_ROBOT_SAMPLE:
-        if size != _ROBOT.size:
-            raise ProtocolError(f"RobotSample payload must be {_ROBOT.size} bytes, got {size}")
-        vals = _ROBOT.unpack_from(buf, start)
-        return RobotSample(vals[0], vals[1], vals[2:5], vals[5:9], vals[9], vals[10])
+    if tag == MSG_HEADSET_SAMPLE or tag == MSG_ROBOT_SAMPLE:
+        # decode() unpacks every complete telemetry frame of the right length.
+        frame = _HEADSET_FRAME if tag == MSG_HEADSET_SAMPLE else _ROBOT_FRAME
+        raise ProtocolError(f"{MSG_NAMES[tag]} payload must be {frame.size - _HEADER.size} bytes, "
+                            f"got {size}")
     if tag == MSG_PREDICTION:
         if size < _PREDICTION_HEAD.size:
             raise ProtocolError("Prediction payload too short")
@@ -395,22 +412,36 @@ def decode(buf, offset: int = 0) -> tuple[Message, int] | None:
     bytes, in place, and never past its declared length, so walking a
     buffer frame by frame costs time linear in its size.
     """
-    if len(buf) - offset < _HEADER.size:
+    available = len(buf) - offset
+    if available < _HEADER.size:
         return None
-    length, tag = _HEADER.unpack_from(buf, offset)
-    if length < 1:
-        raise ProtocolError(f"frame length {length} below minimum of 1")
-    if length > MAX_FRAME_LEN:
-        raise ProtocolError(f"frame length {length} exceeds maximum {MAX_FRAME_LEN}")
-    end = offset + 4 + length
-    if len(buf) < end:
-        return None
+    tag = buf[offset + 4]
     try:
-        msg = _decode_payload(tag, buf, offset + _HEADER.size, end)
+        # A telemetry frame of its type's length is one unpack, header included.
+        if tag == MSG_HEADSET_SAMPLE and available >= _HEADSET_FRAME.size:
+            length, _, ts, sid, px, py, pz, ow, ox, oy, oz, gx, gy, gz = \
+                _HEADSET_FRAME.unpack_from(buf, offset)
+            if length == _HEADSET_FRAME_LEN:
+                return (HeadsetSample(ts, sid, (px, py, pz), (ow, ox, oy, oz), (gx, gy, gz)),
+                        offset + _HEADSET_FRAME.size)
+        elif tag == MSG_ROBOT_SAMPLE and available >= _ROBOT_FRAME.size:
+            length, _, ts, sid, px, py, pz, ow, ox, oy, oz, speed, yaw_rate = \
+                _ROBOT_FRAME.unpack_from(buf, offset)
+            if length == _ROBOT_FRAME_LEN:
+                return (RobotSample(ts, sid, (px, py, pz), (ow, ox, oy, oz), speed, yaw_rate),
+                        offset + _ROBOT_FRAME.size)
+        length = _HEADER.unpack_from(buf, offset)[0]
+        if length < 1:
+            raise ProtocolError(f"frame length {length} below minimum of 1")
+        if length > MAX_FRAME_LEN:
+            raise ProtocolError(f"frame length {length} exceeds maximum {MAX_FRAME_LEN}")
+        end = offset + 4 + length
+        if len(buf) < end:
+            return None
+        return _decode_payload(tag, buf, offset + _HEADER.size, end), end
     except ValidationError as exc:
         # Bytes parsed but the field content is invalid (NaN, bad norm, ...).
         raise ProtocolError(f"{MSG_NAMES.get(tag, hex(tag))} field invalid: {exc}") from exc
-    return msg, end
 
 
 class StreamDecoder:

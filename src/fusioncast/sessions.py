@@ -57,10 +57,10 @@ def _sample_type(agent_kind: str) -> type:
     raise ValueError(f"agent_kind must be 'human' or 'robot', got {agent_kind!r}")
 
 
-def _check_next_timestamp(prev_us: int | None, msg) -> None:
-    """Raise OrderingError unless ``msg`` comes after ``prev_us`` (None for a
-    stream's first message) by at most MAX_GAP_US."""
-    if prev_us is None or 0 < msg.timestamp_us - prev_us <= MAX_GAP_US:
+def _check_next_timestamp(prev_us: int, msg) -> None:
+    """Raise OrderingError unless ``msg`` comes after ``prev_us`` by at most
+    MAX_GAP_US. Callers test that order inline and call this when it fails."""
+    if 0 < msg.timestamp_us - prev_us <= MAX_GAP_US:
         return
     if msg.timestamp_us <= prev_us:
         problem = "not after"
@@ -102,12 +102,11 @@ class Session:
             )
         if self.ended:
             raise ValueError(f"session {self.session_id} already ended")
-        try:
-            _check_next_timestamp(self.messages[-1].timestamp_us if self.messages else None, msg)
-        except OrderingError:
+        messages = self.messages
+        if messages and not 0 < msg.timestamp_us - messages[-1].timestamp_us <= MAX_GAP_US:
             self.ordering_rejects += 1
-            raise
-        self.messages.append(msg)
+            _check_next_timestamp(messages[-1].timestamp_us, msg)  # raises
+        messages.append(msg)
 
     def end(self):
         self.ended = True
@@ -272,20 +271,19 @@ def resample(session: Session) -> ResampleResult:
 
 def save_session(session: Session, path) -> None:
     """Persist a session as wire frames: SessionStart, telemetry, SessionEnd."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(protocol.encode(SessionStart(session.session_id, session.agent_kind, session.label)))
-        for msg in session.messages:
-            fh.write(protocol.encode(msg))
-        fh.write(protocol.encode(SessionEnd(session.session_id, complete=session.complete)))
+    frames = [protocol.encode(SessionStart(session.session_id, session.agent_kind, session.label))]
+    frames += map(protocol.encode, session.messages)
+    frames.append(protocol.encode(SessionEnd(session.session_id, complete=session.complete)))
+    Path(path).write_bytes(b"".join(frames))
 
 
 def load_session(path) -> Session:
     """Load a persisted session. A missing SessionEnd marks it incomplete.
 
-    A malformed frame, or a well-framed message the session cannot take
+    A malformed frame, a well-framed message the session cannot take
     (another session's id or end, a non-telemetry message, out-of-order
-    timestamps), raises ProtocolError naming the file.
+    timestamps), or any byte after the SessionEnd frame raises ProtocolError
+    naming the file.
     """
     data = Path(path).read_bytes()
     try:
@@ -309,6 +307,9 @@ def load_session(path) -> Session:
             if msg.session_id != session.session_id:
                 raise ProtocolError(f"{path}: SessionEnd of session {msg.session_id} "
                                     f"in the file of session {session.session_id}")
+            if offset < len(data):
+                raise ProtocolError(f"{path}: {len(data) - offset} bytes after SessionEnd, "
+                                    f"from byte offset {offset}")
             session.complete = msg.complete
             saw_end = True
             break

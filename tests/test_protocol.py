@@ -203,6 +203,35 @@ class TestValidation:
         with pytest.raises(ValidationError):
             encode(msg)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: SessionEnd(1, complete="no"), "complete must be a bool"),
+        (lambda: SessionEnd(1, complete=1), "complete must be a bool"),
+        (lambda: SessionStart(1, "human", 5), "label must be a str"),
+        (lambda: SessionStart(1, "human", b"lab"), "label must be a str"),
+        (lambda: SessionStart(1, ["human"]), "agent_kind must be"),
+        (lambda: SessionStart(1, "walker"), "agent_kind must be"),
+    ], ids=["end_str", "end_int", "start_int_label", "start_bytes_label", "start_list_kind",
+            "start_unknown_kind"])
+    def test_control_messages_check_their_fields(self, build, match):
+        with pytest.raises(ValidationError, match=match):
+            build()
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: SessionEnd(1), "complete", "no"),
+        (lambda: SessionEnd(1), "complete", 2),
+        (lambda: SessionStart(1, "human"), "label", 5),
+        (lambda: SessionStart(1, "human"), "agent_kind", ["human"]),
+        (lambda: SessionStart(1, "human"), "agent_kind", "walker"),
+    ], ids=["end_str_complete", "end_int_complete", "start_int_label", "start_list_kind",
+            "start_unknown_kind"])
+    def test_encode_rejects_bypassed_control_construction(self, make, field, value):
+        msg = make()
+        frame = encode(msg)
+        assert decode(frame) == (msg, len(frame))
+        object.__setattr__(msg, field, value)
+        with pytest.raises(ValidationError):
+            encode(msg)
+
 
 def _old_check_finite_tuple(values, n, what):
     """The per-element validator the fast path replaced, kept as its oracle."""
@@ -657,6 +686,159 @@ class TestHostileInput:
                 decode(bytes(frame))
             except ProtocolError:
                 pass
+
+
+_OLD_HEADER = struct.Struct("<IB")
+_OLD_HEADSET = struct.Struct("<QI10d")
+_OLD_ROBOT = struct.Struct("<QI9d")
+_OLD_PREDICTION_HEAD = struct.Struct("<QIH")
+_OLD_SESSION_START_HEAD = struct.Struct("<IBH")
+_OLD_SESSION_END = struct.Struct("<IB")
+
+
+def _old_decode_payload(tag, buf, start, end):
+    """The payload decoder that the whole-frame telemetry structs replaced,
+    kept with _old_decode as their oracle."""
+    size = end - start
+    if tag == protocol.MSG_HELLO:
+        if size:
+            raise ProtocolError(f"Hello payload must be empty, got {size} bytes")
+        return Hello()
+    if tag == protocol.MSG_SESSION_START:
+        if size < _OLD_SESSION_START_HEAD.size:
+            raise ProtocolError("SessionStart payload too short")
+        sid, kind_code, label_len = _OLD_SESSION_START_HEAD.unpack_from(buf, start)
+        rest = bytes(buf[start + _OLD_SESSION_START_HEAD.size:end])
+        if kind_code not in protocol._AGENT_NAMES:
+            raise ProtocolError(f"unknown agent kind code {kind_code}")
+        if len(rest) != label_len:
+            raise ProtocolError(f"SessionStart label length {label_len} != {len(rest)} bytes present")
+        try:
+            label = rest.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"SessionStart label is not valid utf-8: {exc}") from exc
+        return SessionStart(sid, protocol._AGENT_NAMES[kind_code], label)
+    if tag == protocol.MSG_SESSION_END:
+        if size != _OLD_SESSION_END.size:
+            raise ProtocolError(f"SessionEnd payload must be {_OLD_SESSION_END.size} bytes")
+        sid, complete = _OLD_SESSION_END.unpack_from(buf, start)
+        return SessionEnd(sid, bool(complete))
+    if tag == protocol.MSG_HEADSET_SAMPLE:
+        if size != _OLD_HEADSET.size:
+            raise ProtocolError(f"HeadsetSample payload must be {_OLD_HEADSET.size} bytes, got {size}")
+        vals = _OLD_HEADSET.unpack_from(buf, start)
+        return HeadsetSample(vals[0], vals[1], vals[2:5], vals[5:9], vals[9:12])
+    if tag == protocol.MSG_ROBOT_SAMPLE:
+        if size != _OLD_ROBOT.size:
+            raise ProtocolError(f"RobotSample payload must be {_OLD_ROBOT.size} bytes, got {size}")
+        vals = _OLD_ROBOT.unpack_from(buf, start)
+        return RobotSample(vals[0], vals[1], vals[2:5], vals[5:9], vals[9], vals[10])
+    if tag == protocol.MSG_PREDICTION:
+        if size < _OLD_PREDICTION_HEAD.size:
+            raise ProtocolError("Prediction payload too short")
+        ts, sid, count = _OLD_PREDICTION_HEAD.unpack_from(buf, start)
+        expected = _OLD_PREDICTION_HEAD.size + 24 * count
+        if size != expected:
+            raise ProtocolError(
+                f"Prediction payload must be {expected} bytes for {count} states, got {size}"
+            )
+        flat = struct.unpack_from(f"<{3 * count}d", buf, start + _OLD_PREDICTION_HEAD.size)
+        states = tuple(tuple(flat[3 * i:3 * i + 3]) for i in range(count))
+        return Prediction(ts, sid, states)
+    raise ProtocolError(f"unknown msg_type 0x{tag:02X}")
+
+
+def _old_decode(buf, offset=0):
+    if len(buf) - offset < _OLD_HEADER.size:
+        return None
+    length, tag = _OLD_HEADER.unpack_from(buf, offset)
+    if length < 1:
+        raise ProtocolError(f"frame length {length} below minimum of 1")
+    if length > protocol.MAX_FRAME_LEN:
+        raise ProtocolError(f"frame length {length} exceeds maximum {protocol.MAX_FRAME_LEN}")
+    end = offset + 4 + length
+    if len(buf) < end:
+        return None
+    try:
+        msg = _old_decode_payload(tag, buf, offset + _OLD_HEADER.size, end)
+    except ValidationError as exc:
+        raise ProtocolError(f"{protocol.MSG_NAMES.get(tag, hex(tag))} field invalid: {exc}") from exc
+    return msg, end
+
+
+def _decode_outcome(decoder, buf, offset):
+    """None, the decoded message's type, field bits and end, or the type and
+    text of what was raised."""
+    try:
+        result = decoder(buf, offset)
+    except Exception as exc:  # noqa: BLE001 - the oracle's exceptions are compared too
+        return type(exc), str(exc), type(exc.__cause__)
+    if result is None:
+        return None
+    msg, end = result
+    return type(msg), _field_bits(dataclasses.astuple(msg)), end
+
+
+def _mutated_telemetry_frames(rng):
+    """(buffer, offset) pairs: valid telemetry frames with one mutation each,
+    at offset 0 or behind other bytes, with or without bytes after them."""
+    import numpy as np
+
+    f64 = struct.Struct("<d")
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+    cases = []
+    for i in range(2100):
+        msg = _random_headset(rng) if rng.integers(0, 2) else _random_robot(rng)
+        frame = bytearray(encode(msg))
+        n_floats = (len(frame) - 17) // 8
+        kind = i % 7
+        if kind == 0:  # the length prefix: short, long, or over MAX_FRAME_LEN
+            length = len(frame) - 4
+            pick = int(rng.integers(0, 3))
+            if pick == 0:
+                value = int(rng.integers(0, length))
+            elif pick == 1:
+                value = int(rng.integers(length + 1, protocol.MAX_FRAME_LEN + 1))
+            else:
+                value = int(rng.integers(protocol.MAX_FRAME_LEN + 1, 2 ** 32))
+            frame[0:4] = struct.pack("<I", value)
+            if pick == 1 and rng.integers(0, 2):  # the bytes the longer length asks for
+                frame += rng.bytes(value + 4 - len(frame))
+        elif kind == 1:  # the tag, the other telemetry tag included
+            frame[4] = int(rng.choice([1, 2, 3, 0x10, 0x11, 0x7F, int(rng.integers(0, 256))]))
+        elif kind == 2:  # one float: NaN, infinities and other specials
+            slot = 17 + 8 * int(rng.integers(0, n_floats))
+            frame[slot:slot + 8] = f64.pack(specials[int(rng.integers(0, len(specials)))])
+        elif kind == 3:  # the quaternion (or a headset's gaze) off unit norm
+            off = float(rng.choice([1e-9, -1e-9, 1e-3, -1e-3, 1e-6, -1e-6]))
+            first, count = (41, 4) if rng.integers(0, 2) or n_floats == 9 else (73, 3)
+            vals = struct.unpack_from(f"<{count}d", frame, first)
+            struct.pack_into(f"<{count}d", frame, first, *(v * (1.0 + off) for v in vals))
+        elif kind == 4:  # random bytes anywhere in the payload
+            for pos in rng.choice(np.arange(5, len(frame)), size=int(rng.integers(1, 4))):
+                frame[int(pos)] = int(rng.integers(0, 256))
+        elif kind == 5:  # truncation
+            frame = frame[:int(rng.integers(0, len(frame)))]
+        else:  # the session id and timestamp at their limits
+            frame[5:17] = struct.pack("<QI", (0, 2 ** 64 - 1)[int(rng.integers(0, 2))],
+                                      (0, 2 ** 32 - 1)[int(rng.integers(0, 2))])
+        prefix = rng.bytes(int(rng.integers(0, 12))) if rng.integers(0, 2) else b""
+        suffix = rng.bytes(int(rng.integers(1, 120))) if rng.integers(0, 3) == 0 else b""
+        buf = prefix + bytes(frame) + suffix
+        cases.append((bytearray(buf) if rng.integers(0, 2) else buf, len(prefix)))
+    return cases
+
+
+class TestDecodeOracle:
+    def test_mutated_telemetry_frames_match_old_decode(self):
+        import numpy as np
+
+        seen = {"message": 0, "none": 0, "error": 0}
+        for buf, offset in _mutated_telemetry_frames(np.random.default_rng(139)):
+            want = _decode_outcome(_old_decode, buf, offset)
+            assert _decode_outcome(decode, buf, offset) == want, (bytes(buf), offset)
+            seen["none" if want is None else "error" if want[0] is ProtocolError else "message"] += 1
+        assert min(seen.values()) > 200, seen
 
 
 class TestStreamDecoder:

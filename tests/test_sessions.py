@@ -58,12 +58,18 @@ class TestIngest:
         assert len(session.messages) == 1  # session still usable
         session.ingest(_headset(2000))
         assert len(session.messages) == 2
+        assert session.ordering_rejects == 1
 
     def test_out_of_order_rejected(self):
         session = Session(1, "human")
         session.ingest(_headset(5000))
-        with pytest.raises(OrderingError):
+        with pytest.raises(OrderingError, match="not after previous 5000"):
             session.ingest(_headset(4000))
+        assert session.ordering_rejects == 1
+        assert [m.timestamp_us for m in session.messages] == [5000]
+        session.ingest(_headset(6000))
+        assert [m.timestamp_us for m in session.messages] == [5000, 6000]
+        assert session.ordering_rejects == 1
 
     def test_session_id_mismatch(self):
         session = Session(1, "human")
@@ -109,6 +115,9 @@ class TestTimestampBound:
             session.ingest(_robot(2 * MAX_GAP_US + 1))
         assert session.ordering_rejects == 1
         assert len(session.messages) == 2
+        session.ingest(_robot(2 * MAX_GAP_US))
+        assert [m.timestamp_us for m in session.messages] == [0, MAX_GAP_US, 2 * MAX_GAP_US]
+        assert session.ordering_rejects == 1
 
     def test_u64_jump_raises_online_in_bounded_time(self):
         aligner = GridAligner("robot")
@@ -401,6 +410,24 @@ class TestPersistence:
         loaded = load_session(path)
         assert not loaded.complete
         assert len(loaded.messages) == 9
+
+    @pytest.mark.parametrize("tail", [
+        b"\xff" * 50,  # a hostile length prefix and what follows it
+        protocol.encode(_headset(6_000_000, sid=4)),  # a whole telemetry frame
+        protocol.encode(SessionEnd(4)),  # a second end
+        b"\x00",
+    ], ids=["ff_bytes", "telemetry_frame", "second_end", "one_byte"])
+    def test_bytes_after_end_raise_protocol_error(self, tmp_path, tail):
+        session = _human_session(60, sid=4)
+        session.end()
+        path = tmp_path / "s4.fcs"
+        save_session(session, path)
+        size = path.stat().st_size
+        assert load_session(path).messages == session.messages
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(ProtocolError, match=f"s4.fcs: {len(tail)} bytes after SessionEnd, "
+                                                f"from byte offset {size}$"):
+            load_session(path)
 
     @pytest.mark.parametrize("body", [
         [_headset(200_000, sid=4), _headset(100_000, sid=4)],  # out of order
