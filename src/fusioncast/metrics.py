@@ -10,8 +10,10 @@ log-likelihood of the truth under it.
 KDE construction choices (recorded in every report): density is estimated
 per timestep on (x, y), not on whole-trajectory vectors; the bandwidth per
 dimension is Scott's rule K**(-1/6) * std (sample std, ddof=1) floored at
-1e-3 m; densities are floored at 1e-300 before the log. Ensembles come from
-input jitter on the observed window (see predictors.ensemble_jitter).
+1e-3 m; densities are floored at 1e-300 before the log. Each window's
+ensemble is one forecast of K copies of its observed positions, each offset
+by N(0, ENSEMBLE_SIGMA^2) noise drawn from a generator seeded with (seed,
+window index).
 """
 
 from __future__ import annotations
@@ -19,17 +21,18 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .predictors import ensemble_jitter, window_arrays
-from .windows import FeatureConfig
+from .predictors import window_arrays
+from .windows import OBS_FRAMES, FeatureConfig
 
 KDE_BANDWIDTH_FLOOR = 1e-3  # m
 KDE_DENSITY_FLOOR = 1e-300
 SCOTT_EXPONENT = -1.0 / 6.0  # n**(-1/(d+4)) for d = 2
+ENSEMBLE_SIGMA = 0.05  # m, std of the jitter on each observed x and y
 
 # Ensemble members that evaluate forecasts and scores in one call. Working
 # memory then grows with this block, not with the test set: at K = 20 (16
@@ -94,22 +97,7 @@ class EvalReport:
     kde_notes: list[str] = field(default_factory=lambda: list(KDE_NOTES))
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "split": self.split,
-            "window_count": self.window_count,
-            "ade": self.ade,
-            "fde": self.fde,
-            "ade_variance": self.ade_variance,
-            "kde_nll": self.kde_nll,
-            "displacement_curve": self.displacement_curve,
-            "ensemble_k": self.ensemble_k,
-            "ensemble_sigma": self.ensemble_sigma,
-            "seed": self.seed,
-            "provenance": self.provenance,
-            "kde_notes": self.kde_notes,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -117,8 +105,7 @@ class EvalReport:
 
 
 def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
-             sigma: float = 0.05, seed: int = 0, split: str = "test",
-             provenance: dict | None = None) -> EvalReport:
+             seed: int = 0) -> EvalReport:
     """Run a predictor over test windows and aggregate ADE/FDE/KDE-NLL.
 
     ``predictor`` needs ``feature_config`` and the batched ``forecast`` of
@@ -146,8 +133,10 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     block = max(1, _MEMBERS_PER_BLOCK // k)
     for start in range(0, len(windows), block):
         part = slice(start, start + block)
-        jitter = np.stack([ensemble_jitter((seed, idx), k, sigma)
-                           for idx in range(start, min(start + block, len(windows)))])
+        jitter = np.stack([
+            np.random.default_rng((seed, idx)).normal(0.0, ENSEMBLE_SIGMA, size=(k, OBS_FRAMES, 2))
+            for idx in range(start, min(start + block, len(windows)))
+        ])
         ensemble = predictor.forecast(pos[part, None] + jitter, theta[part, None],
                                       None if gaze is None else gaze[part, None])  # (B, K, H, 2)
         nll, count = _kde_nll(ensemble, truth[part])
@@ -163,7 +152,7 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     window_ades = steps.mean(axis=1)
     return EvalReport(
         config=config.value,
-        split=split,
+        split="test",
         window_count=len(windows),
         ade=float(window_ades.mean()),
         fde=float(curve[-1]),
@@ -171,7 +160,6 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
         kde_nll=float(np.concatenate(nlls).mean()),
         displacement_curve=[float(v) for v in curve],
         ensemble_k=k,
-        ensemble_sigma=sigma,
+        ensemble_sigma=ENSEMBLE_SIGMA,
         seed=seed,
-        provenance=dict(provenance or {}),
     )

@@ -147,17 +147,6 @@ def _targets(pos, theta, future) -> np.ndarray:
     return _rotate(future - pos[:, -1, None], -theta[:, -1]).reshape(len(future), -1)
 
 
-def ensemble_jitter(seed, k: int, sigma: float) -> np.ndarray:
-    """N(0, sigma^2) offsets (k, OBS_FRAMES, 2) for one window's observed x/y:
-    the input jitter that turns a deterministic predictor into a K-member
-    ensemble. One draw of the block is the same stream as k single draws."""
-    if k < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {k}")
-    if sigma < 0:
-        raise ValueError(f"jitter sigma must be >= 0, got {sigma}")
-    return np.random.default_rng(seed).normal(0.0, sigma, size=(k, OBS_FRAMES, 2))
-
-
 def _states(xy: np.ndarray, origin: np.ndarray, theta_ref) -> list[AgentState]:
     """AgentStates along predicted positions (H, 2), headed by _travel_heading
     from ``origin``, the last observed position, and ``theta_ref``. One

@@ -9,8 +9,11 @@ Frame layout, little-endian throughout:
 A connection is a plain concatenation of frames. There is no
 resynchronization: any malformed frame is a ProtocolError and the reader
 closes the connection. Messages are immutable after construction and
-validated there, so encode(decode(bytes)) and decode(encode(msg)) are exact
-inverses, bit-for-bit on every float.
+validated there, so decode(encode(msg)) == msg, bit-for-bit on every float,
+and encode(decode(frame)) == frame for every frame that encode writes.
+Other frames need not survive the trip: a hardware quaternion or gaze vector
+whose norm is within 1e-6 of 1, but not within 1e-12, decodes renormalized
+and so re-encodes to other bytes.
 
 Validation runs in each message's constructor, which is also how decode
 builds messages, and once more in encode. That second check is there
@@ -382,7 +385,9 @@ def _decode_payload(tag: int, buf, start: int, end: int) -> Message:
         if size != _SESSION_END.size:
             raise ProtocolError(f"SessionEnd payload must be {_SESSION_END.size} bytes")
         sid, complete = _SESSION_END.unpack_from(buf, start)
-        return SessionEnd(sid, bool(complete))
+        if complete > 1:
+            raise ProtocolError(f"SessionEnd complete byte must be 0 or 1, got {complete}")
+        return SessionEnd(sid, complete == 1)
     if tag == MSG_HEADSET_SAMPLE or tag == MSG_ROBOT_SAMPLE:
         # decode() unpacks every complete telemetry frame of the right length.
         frame = _HEADSET_FRAME if tag == MSG_HEADSET_SAMPLE else _ROBOT_FRAME

@@ -246,7 +246,6 @@ class ResampleResult:
     frames: list[AlignedFrame] = field(default_factory=list)
     gap_frames: int = 0
     heading_carries: int = 0
-    note: str = ""
 
     def __len__(self):
         return len(self.frames)
@@ -263,10 +262,7 @@ def resample(session: Session) -> ResampleResult:
     for msg in session.messages:
         frames += aligner.push_message(msg)
     frames += aligner.finish()
-    note = ""
-    if not frames:
-        note = "session shorter than one grid interval; no aligned output"
-    return ResampleResult(frames, aligner.gap_frames, aligner.heading_carries, note)
+    return ResampleResult(frames, aligner.gap_frames, aligner.heading_carries)
 
 
 def save_session(session: Session, path) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -171,13 +171,7 @@ class DatasetSplit:
             raise ConfigError("split buckets are not disjoint")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "train": list(self.train),
-            "validation": list(self.validation),
-            "test": list(self.test),
-            "ratios": list(self.ratios),
-            "seed": self.seed,
-        }, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetSplit":

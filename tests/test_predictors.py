@@ -18,15 +18,20 @@ from fusioncast.predictors import (
     RidgeModel,
     _features,
     _targets,
-    ensemble_jitter,
     fit_ridge,
     load_model,
     save_model,
     window_arrays,
 )
-from fusioncast.windows import FeatureConfig, TrajectoryWindow
+from fusioncast.windows import OBS_FRAMES, FeatureConfig, TrajectoryWindow
 
 DT = 0.1
+
+
+def _jitter(seed, k, sigma):
+    """N(0, sigma^2) offsets (k, OBS_FRAMES, 2) for one window's observed x/y,
+    drawn as evaluate draws its ensemble jitter."""
+    return np.random.default_rng(seed).normal(0.0, sigma, (k, OBS_FRAMES, 2))
 
 
 def _frames_from_xy(xy, thetas, gaze_yaws=None):
@@ -160,7 +165,7 @@ class TestFeatures:
         windows = [_random_walk_window(rng, config) for _ in range(12)]
         pos, theta, gaze, _ = window_arrays(windows, config)
         one = window_arrays(windows[:1], config)[:3]
-        ensemble = (pos[0] + ensemble_jitter(5, 7, 0.05), theta[0], None if gaze is None else gaze[0])
+        ensemble = (pos[0] + _jitter(5, 7, 0.05), theta[0], None if gaze is None else gaze[0])
         for p, t, g in ((pos, theta, gaze), one, ensemble):
             dp = np.zeros(p.shape)
             dp[..., 1:, :] = np.diff(p, axis=-2)
@@ -422,7 +427,7 @@ class TestPredictHeadings:
         # ensemble forecast that evaluate scores.
         model, window = _heading_cases()[case]
         pos, theta, gaze, _ = window_arrays([window], model.feature_config)
-        jitter = ensemble_jitter(3, 4, sigma)
+        jitter = _jitter(3, 4, sigma)
         ensemble = model.forecast(pos[0] + jitter, theta, gaze)
         for offsets, member in zip(jitter, ensemble):
             jittered = _jittered(window, offsets)
@@ -470,7 +475,7 @@ def _ensemble(model, window, k, sigma, seed):
     """The K-member forecast (K, H, 2) that evaluate scores for ``window``:
     one forecast of K input-jittered copies of its observed positions."""
     pos, theta, gaze, _ = window_arrays([window], model.feature_config)
-    return model.forecast(pos[0] + ensemble_jitter(seed, k, sigma), theta, gaze)
+    return model.forecast(pos[0] + _jitter(seed, k, sigma), theta, gaze)
 
 
 class TestEnsemble:

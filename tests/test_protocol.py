@@ -124,6 +124,18 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode(struct.pack("<IB", 0, 0x7F))
 
+    @pytest.mark.parametrize("byte", [2, 255])
+    def test_session_end_complete_byte_above_one_rejected(self, byte):
+        frame = bytes.fromhex("06000000 11 04000000") + bytes([byte])
+        with pytest.raises(ProtocolError, match=f"complete byte must be 0 or 1, got {byte}$"):
+            decode(frame)
+
+    @pytest.mark.parametrize("byte", [0, 1])
+    def test_session_end_complete_byte_round_trips(self, byte):
+        frame = bytes.fromhex("06000000 11 04000000") + bytes([byte])
+        assert decode(frame) == (SessionEnd(4, complete=byte == 1), len(frame))
+        assert encode(decode(frame)[0]) == frame
+
 
 def _valid_headset():
     return HeadsetSample(1, 2, (0.0, 0.0, 1.6), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -640,14 +652,29 @@ class TestRoundTrip:
             assert decode(frame) == (msg, len(frame)), msg
 
     def test_fuzz_round_trip_100k(self):
-        # Bit-exact field equality over 10^5 randomized messages.
+        # Over 10^5 randomized messages: decode(encode(msg)) == msg, and the
+        # frame re-encodes to the same bytes (which tell -0.0 from 0.0).
         import numpy as np
 
         rng = np.random.default_rng(101)
         for _ in range(100_000):
             msg = _random_message(rng)
             frame = encode(msg)
-            assert decode(frame) == (msg, len(frame))
+            decoded, end = decode(frame)
+            assert (decoded, end) == (msg, len(frame))
+            assert encode(decoded) == frame
+
+    def test_near_unit_quaternion_frame_is_renormalized(self):
+        # A hardware frame with w = 1 + 2e-9 is within the 1e-6 tolerance, so
+        # it decodes renormalized and re-encodes to other bytes; the message
+        # it decodes to then makes both round trips exactly.
+        frame = bytearray(encode(_valid_headset()))
+        struct.pack_into("<d", frame, 41, 1.0 + 2e-9)
+        msg, end = decode(frame)
+        assert end == len(frame) and msg.orientation == (1.0, 0.0, 0.0, 0.0)
+        assert encode(msg) != frame
+        assert decode(encode(msg))[0] == msg
+        assert encode(decode(encode(msg))[0]) == encode(msg)
 
     def test_round_trip_preserves_float_bits(self):
         import numpy as np

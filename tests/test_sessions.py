@@ -290,7 +290,6 @@ class TestResample:
         session2.end()
         result2 = resample(session2)
         assert result2.frames == []
-        assert result2.note != ""
 
     def test_requires_ended_session(self):
         session = _human_session(30)

@@ -164,6 +164,15 @@ class TestSplit:
         split = split_sessions(range(12), (0.5, 0.25, 0.25), seed=9)
         assert DatasetSplit.from_json(split.to_json()) == split
 
+    def test_json_bytes_pinned(self):
+        text = split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json()
+        assert text == (
+            '{\n  "ratios": [\n    0.5,\n    0.25,\n    0.25\n  ],\n  "seed": 9,\n'
+            '  "test": [\n    5,\n    9,\n    7\n  ],\n'
+            '  "train": [\n    8,\n    6,\n    3,\n    11,\n    0,\n    10\n  ],\n'
+            '  "validation": [\n    1,\n    2,\n    4\n  ]\n}'
+        )
+
     @pytest.mark.parametrize("change,message", [
         ({"ratios": [0.5, "x"]}, "three finite numbers"),
         ({"ratios": [0.5, 0.5]}, "three finite numbers"),
