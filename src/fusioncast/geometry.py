@@ -8,7 +8,7 @@ X forward. A heading is the yaw of the forward axis about +Z, measured from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -63,38 +63,27 @@ def heading_and_rotate(q, v=None) -> tuple[float | None, tuple[float, float, flo
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AgentState:
-    """Planar pose (x, y, heading). Heading is wrapped to (-pi, pi] on construction.
+def _check_finite(x, y, theta) -> None:
+    """Raise ValidationError naming the first non-finite of x, y, theta."""
+    for name, val in (("x", x), ("y", y), ("theta", theta)):
+        if not math.isfinite(val):
+            raise ValidationError(f"AgentState.{name} must be finite, got {val!r}")
 
-    The check is one isfinite per field, not a sum as in ``protocol``: a sum
-    of numpy scalars warns on overflow, and a sum after float() would accept
-    numeric strings. The aligner and ``predict`` skip it: they build their
-    states with ``_checked_state`` from values checked where they came in
-    (a message's position, one isfinite of a whole forecast).
+
+class AgentState(namedtuple("AgentState", "x y theta")):
+    """Planar pose (x, y, heading): an immutable float triple whose
+    constructor wraps the heading to (-pi, pi].
+
+    The constructor checks one isfinite per field, not a sum as in
+    ``protocol``: a sum of numpy scalars warns on overflow, and a sum after
+    float() would accept numeric strings. The aligner and ``predict`` build
+    with the unchecked ``AgentState._make``, from floats checked where they
+    came in (a message's position, one isfinite of a whole forecast) and a
+    heading already wrapped.
     """
 
-    x: float
-    y: float
-    theta: float
+    __slots__ = ()
 
-    def __init__(self, x, y, theta):
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)):
-            for name, val in (("x", x), ("y", y), ("theta", theta)):
-                if not math.isfinite(val):
-                    raise ValidationError(f"AgentState.{name} must be finite, got {val!r}")
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "theta", wrap_angle(float(theta)))
-
-
-_set_x, _set_y, _set_theta = (getattr(AgentState, f).__set__ for f in ("x", "y", "theta"))
-
-
-def _checked_state(x: float, y: float, theta: float) -> AgentState:
-    """An AgentState of floats already checked finite, ``theta`` already wrapped."""
-    state = object.__new__(AgentState)
-    _set_x(state, x)
-    _set_y(state, y)
-    _set_theta(state, theta)
-    return state
+    def __new__(cls, x, y, theta):
+        _check_finite(x, y, theta)
+        return tuple.__new__(cls, (float(x), float(y), wrap_angle(float(theta))))

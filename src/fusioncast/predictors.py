@@ -47,7 +47,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import AgentState, _checked_state, wrap_angle
+from .geometry import AgentState, _check_finite, wrap_angle
 from .sessions import GRID_PERIOD_US
 from .windows import HORIZON_FRAMES, OBS_FRAMES, FeatureConfig, TrajectoryWindow
 
@@ -157,8 +157,9 @@ def _states(xy: np.ndarray, origin: np.ndarray, theta_ref) -> list[AgentState]:
     heading = _travel_heading(theta_ref, dp)
     xs, ys = xy.T.tolist()
     if not (np.isfinite(xy).all() and np.isfinite(theta_ref)):
-        return [AgentState(*state) for state in zip(xs, ys, heading.tolist())]
-    return list(map(_checked_state, xs, ys, wrap_angle(heading).tolist()))
+        for state in zip(xs, ys, heading.tolist()):
+            _check_finite(*state)
+    return list(map(AgentState._make, zip(xs, ys, wrap_angle(heading).tolist())))
 
 
 class _Forecaster:
@@ -211,9 +212,11 @@ class RidgeModel(_Forecaster):
             raise ValidationError(f"weights shape {self.weights.shape} != (kept, 2 * HORIZON_FRAMES)")
         if not np.all(np.isfinite(self.weights)):
             raise ValidationError("model weights contain non-finite values")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise ValidationError("model mean/std contain non-finite values")
         self._kept_std = self.std[self.kept]
-        if np.any(self._kept_std <= 0):
-            raise ValidationError("kept feature dimensions must have positive std")
+        if np.any(self._kept_std <= _STD_FLOOR):  # fit_ridge keeps only std above it
+            raise ValidationError(f"kept feature dimensions must have std above {_STD_FLOOR}")
 
     @property
     def dropped_dims(self) -> list[int]:
@@ -307,6 +310,9 @@ def load_model(path) -> RidgeModel:
         for key, frames in (("obs_frames", OBS_FRAMES), ("horizon", HORIZON_FRAMES)):
             if type(header[key]) is not int or header[key] != frames:
                 raise ValidationError(f"{key} must be the int {frames}, got {header[key]!r}")
+        for key in ("mean", "std"):  # floats, as save_model writes them; not bools
+            if not all(type(v) is float for v in header[key]):
+                raise ValidationError(f"{key} must be a list of floats")
         rows, cols = (int(n) for n in header["weight_shape"])
         if min(rows, cols) < 0 or len(data) != 8 * rows * cols:
             raise ValidationError(f"{len(data)} weight bytes for weight shape {(rows, cols)}")
@@ -318,5 +324,6 @@ def load_model(path) -> RidgeModel:
             kept=np.array(header["kept"], dtype=bool),
             weights=np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy(),
         )
-    except (KeyError, TypeError, ValueError) as exc:  # ValidationError is a ValueError
+    # ValidationError is a ValueError; RecursionError is JSON nested too deep.
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid model file: {exc!r}") from exc

@@ -32,8 +32,8 @@ each component.
 A Prediction takes one sum over the floats of all its states, with its
 lengths and theta range checked in the same pass; when any of that fails,
 the per-state checks run and raise what they always raised.
-geometry.AgentState checks with one isfinite call per field; the aligned
-frames and predicted steps skip even that, as their values were checked once.
+geometry.AgentState's constructor checks one isfinite per field; aligned
+frames and predicted steps, checked where they came in, use its ``_make``.
 
 Each telemetry type has one frame struct, header included (_HEADSET_FRAME,
 _ROBOT_FRAME), so a sample is encoded by one pack after its checks and

@@ -73,6 +73,10 @@ ROBOT_MAX_ACCEL = 0.5  # m/s^2
 ROBOT_MAX_YAW_RATE = 1.0  # rad/s
 
 MIN_SESSION_DURATION_S = (OBS_FRAMES + HORIZON_FRAMES) * SIM_STEP_US / 1_000_000  # one window
+# A walker draws all its noise up front, two normals per frame, so the
+# duration alone sets a session's work and memory: one hour is 36,000 frames
+# and 72,000 normals, 20 times the longest session any workload or test runs.
+MAX_SESSION_DURATION_S = 3600.0
 MIN_ROUTE_LENGTH_M = 2.0
 
 
@@ -252,9 +256,11 @@ def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None
 
 
 def _check_duration(duration_s: float) -> None:
-    """Every simulated session, human or robot, holds at least one window."""
-    if duration_s < MIN_SESSION_DURATION_S:
-        raise ValueError(f"duration must be >= {MIN_SESSION_DURATION_S} s, got {duration_s}")
+    """Every simulated session, human or robot, holds at least one window and
+    at most MAX_SESSION_DURATION_S of frames."""
+    if not MIN_SESSION_DURATION_S <= duration_s <= MAX_SESSION_DURATION_S:
+        raise ValueError(f"duration must be within [{MIN_SESSION_DURATION_S}, "
+                         f"{MAX_SESSION_DURATION_S}] s, got {duration_s}")
 
 
 def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s: float,
@@ -402,8 +408,9 @@ class CorpusConfig:
                 raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
         duration = self.duration_s
         if not (isinstance(duration, Real) and not isinstance(duration, bool)
-                and math.isfinite(duration) and duration > 0):
-            raise ConfigError(f"duration_s must be finite and > 0, got {duration!r}")
+                and 0 < duration <= MAX_SESSION_DURATION_S):
+            raise ConfigError(f"duration_s must be in (0, {MAX_SESSION_DURATION_S}], "
+                              f"got {duration!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -444,6 +451,7 @@ def generate_corpus(config: CorpusConfig) -> list[Session]:
     robots continue from there. Deterministic in the config alone."""
     if config.n_human + config.n_robot < 6:
         raise ValueError("corpus needs at least 6 sessions for a 3-way split")
+    _check_duration(config.duration_s)
     maps = corpus_maps(config.seed)
     sessions = []
     for i in range(config.n_human):

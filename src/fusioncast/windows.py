@@ -79,17 +79,13 @@ class TrajectoryWindow:
 def _frame_rows(frames, gaze: bool) -> np.ndarray:
     """The rows of TrajectoryWindow.rows for ``frames``, from one flat list."""
     flat = []
-    if gaze:
-        try:
-            for f in frames:
-                s, g = f.state, f.gaze_world
-                flat += (s.x, s.y, s.theta, g[0], g[1])
-        except TypeError:  # a gaze_world of None
-            raise ConfigError("window has no gaze channel but gaze features were requested") from None
-    else:
-        for f in frames:
-            s = f.state
-            flat += (s.x, s.y, s.theta)
+    for f in frames:
+        flat += f.state
+        if gaze:
+            g = f.gaze_world
+            if g is None:
+                raise ConfigError("window has no gaze channel but gaze features were requested")
+            flat += (g[0], g[1])  # not g[:2]: list += ndarray goes to the ndarray's __radd__
     rows = np.array(flat).reshape(len(frames), 5 if gaze else 3)
     rows.flags.writeable = False
     return rows
@@ -175,7 +171,10 @@ class DatasetSplit:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetSplit":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # malformed, too deep or too many digits
+            raise ConfigError(f"split file cannot be read as JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"split file must hold a JSON object, got {type(raw).__name__}")
         for key in ("train", "validation", "test", "ratios", "seed"):

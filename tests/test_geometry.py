@@ -1,6 +1,5 @@
 """Rotation and heading math."""
 
-import dataclasses
 import math
 import struct
 
@@ -287,9 +286,11 @@ class TestAgentState:
         assert a == AgentState(1.0, 2, 0.5) and hash(a) == hash(AgentState(1.0, 2.0, 0.5))
         assert a != AgentState(1.0, 2.0, 0.25)
         assert repr(a) == "AgentState(x=1.0, y=2.0, theta=0.5)"
-        assert dataclasses.astuple(a) == (1.0, 2.0, 0.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert tuple(a) == (1.0, 2.0, 0.5)
+        with pytest.raises(AttributeError):
             a.x = 3.0
+        with pytest.raises(AttributeError):
+            object.__setattr__(a, "x", 3.0)
 
     def test_matches_per_field_oracle(self):
         rng = np.random.default_rng(127)

@@ -229,7 +229,8 @@ class TestChecksMoved:
         # its state refuses it. A window reads its frames' floats once, so
         # the NaN is set before the window is built.
         cut = self._window()
-        object.__setattr__(cut.observed[-1].state, "theta", math.nan)
+        last = cut.observed[-1]
+        last.state = AgentState._make((last.state.x, last.state.y, math.nan))
         window = TrajectoryWindow(cut.session_id, cut.start_index, cut.feature_config,
                                   cut.observed, cut.future)
         predictor = ConstantVelocityPredictor(window.feature_config)
@@ -242,13 +243,13 @@ class TestCheckCost:
     def test_clean_resample_and_predict_build_no_checked_state(self, monkeypatch):
         stream, models = _corpus()
         calls = []
-        init = AgentState.__init__
+        new = AgentState.__new__
 
-        def counting(self, *args):
+        def counting(cls, *args):
             calls.append(args)
-            init(self, *args)
+            return new(cls, *args)
 
-        monkeypatch.setattr(AgentState, "__init__", counting)
+        monkeypatch.setattr(AgentState, "__new__", counting)
         session = stream[0]
         model = models[session.agent_kind]
         windows = segment(resample(session).frames, session.session_id, model.feature_config,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -69,7 +70,8 @@ def _header_and_weights(tmp_path):
 
 
 def _write(tmp_path, header, weights, hlen=None):
-    blob = json.dumps(header).encode("utf-8")
+    """A model file of ``header`` (a dict, or the whole header's text) and ``weights``."""
+    blob = (header if isinstance(header, str) else json.dumps(header)).encode("utf-8")
     path = tmp_path / "edited.fcm"
     length = len(blob) if hlen is None else hlen
     path.write_bytes(MODEL_MAGIC + struct.pack("<I", length) + blob + weights)
@@ -117,10 +119,15 @@ class TestLoadModel:
         {"feature_config": "no_such_config"},
         {"horizon": 39},
         {"kept": [True] * (DIMS - 1)},
+        # The whole header: nested past the recursion limit, under MAX_HEADER_BYTES.
+        pytest.param("[" * 200_000 + "]" * 200_000, id="nested"),
     ])
     def test_inconsistent_header(self, tmp_path, edit):
         header, weights = _header_and_weights(tmp_path)
-        header.update(edit)
+        if isinstance(edit, str):
+            header = edit
+        else:
+            header.update(edit)
         with pytest.raises(ValidationError):
             load_model(_write(tmp_path, header, weights))
 
@@ -135,8 +142,15 @@ class TestLoadModel:
           "weight_shape": [40, 80]}, "obs_frames"),
         ({"horizon": 5, "weight_shape": [DIMS, 10]}, "horizon"),
         ({"horizon": True}, "horizon"),
+        ({"std": [math.nan] + [1.0] * (DIMS - 1)}, "std"),  # NaN std scored NaN ADE
+        ({"std": [math.inf] * DIMS}, "std"),
+        ({"std": [1e-300] * DIMS}, "std"),  # fit_ridge drops std <= 1e-12
+        ({"std": [True] * DIMS}, "std"),  # loaded as 1.0
+        ({"mean": [math.nan] * DIMS}, "mean"),
+        ({"mean": [False] * DIMS}, "mean"),
     ], ids=["lam_string", "lam_negative", "lam_inf", "lam_bool", "horizon_float",
-            "obs_frames_float", "obs_frames_10", "horizon_5", "horizon_bool"])
+            "obs_frames_float", "obs_frames_10", "horizon_5", "horizon_bool", "std_nan",
+            "std_inf", "std_below_floor", "std_bool", "mean_nan", "mean_bool"])
     def test_header_fit_ridge_would_never_write(self, tmp_path, edit, message):
         # Each of these loaded before, and a float horizon failed only later,
         # in forecast. The weights are cut to the header's weight shape, so

@@ -387,6 +387,7 @@ class TestCorpus:
         ("n_human", -3), ("n_human", 6.5), ("n_human", True), ("n_robot", "4"),
         ("n_robot", None), ("duration_s", math.nan), ("duration_s", math.inf),
         ("duration_s", -1.0), ("duration_s", 0.0), ("duration_s", "60"), ("duration_s", False),
+        ("duration_s", 3600.5), ("duration_s", 1e7),
         ("seed", 1.5), ("seed", "7"), ("seed", -1), ("seed", None),
     ])
     def test_config_rejects_bad_values(self, field, value):
@@ -398,6 +399,24 @@ class TestCorpus:
             CorpusConfig(**raw)
         with pytest.raises(ConfigError, match=field):
             CorpusConfig.from_dict(raw)
+
+    def test_duration_bounded_before_any_draw(self, monkeypatch):
+        # A walker draws two normals per frame up front, so the duration
+        # alone sets a session's work; past the bound nothing is drawn.
+        def no_draw(*args):
+            raise AssertionError("random numbers drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        too_long = simulate.MAX_SESSION_DURATION_S + 0.1
+        config = CorpusConfig(n_human=3, n_robot=3, duration_s=simulate.MAX_SESSION_DURATION_S)
+        config.duration_s = too_long  # past the check CorpusConfig makes
+        for run in (lambda: simulate_human(_straight(), HumanWalkerParams(), too_long),
+                    lambda: simulate_robot(_straight(), ((0.0, 0.0), (10.0, 0.0)), too_long),
+                    lambda: generate_corpus(config)):
+            with pytest.raises(ValueError, match="duration"):
+                run()
+        with pytest.raises(ConfigError, match="duration_s"):
+            CorpusConfig(duration_s=too_long)
 
     @pytest.mark.parametrize("key", ["n_human", "n_robot", "duration_s", "seed"])
     def test_config_missing_key(self, key):

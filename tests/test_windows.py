@@ -183,12 +183,18 @@ class TestSplit:
         ({"seed": "abc"}, "seed"),
         ({"seed": 1.5}, "seed"),
         ({"seed": True}, "seed"),
+        # A whole file's text: cut short, nested past the recursion limit, and
+        # a seed past Python's int-string digit limit.
+        ('{"seed": 9,', "JSON"),
+        ("[" * 200_000 + "]" * 200_000, "JSON"),
+        ('{"seed": ' + "7" * 5000 + "}", "JSON"),
     ], ids=["two_with_string", "two", "string", "string_of_three", "sum", "negative",
-            "seed_string", "seed_float", "seed_bool"])
+            "seed_string", "seed_float", "seed_bool", "malformed", "nested", "seed_5000_digits"])
     def test_from_json_applies_split_checks(self, change, message):
         raw = json.loads(split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json())
+        text = change if isinstance(change, str) else json.dumps({**raw, **change})
         with pytest.raises(ConfigError, match=message):
-            DatasetSplit.from_json(json.dumps({**raw, **change}))
+            DatasetSplit.from_json(text)
 
     @pytest.mark.parametrize("key,ids", [
         ("train", ["a"]), ("validation", [1.5]), ("test", [True]), ("train", [[1, 2]]),
@@ -265,7 +271,7 @@ class TestTrajectoryWindow:
     def test_rows_hold_the_floats_of_the_cut(self):
         w = segment(_frames(60), 1, FeatureConfig.POSE_ONLY)[0]
         before = w.rows().tobytes()
-        object.__setattr__(w.observed[5].state, "x", 9.0)
+        w.observed[5].state = AgentState(9.0, *w.observed[5].state[1:])
         assert w.rows().tobytes() == before
         assert TrajectoryWindow(1, 0, FeatureConfig.POSE_ONLY, w.observed).rows()[5, 0] == 9.0
 
