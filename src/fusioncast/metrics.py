@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .predictors import window_arrays
 from .windows import OBS_FRAMES, FeatureConfig
 
@@ -104,6 +104,15 @@ class EvalReport:
         return cls(**json.loads(text))
 
 
+def _check_forecast(pred: np.ndarray, start: int, what: str) -> None:
+    """Raise ValidationError naming the first window whose forecast holds a
+    NaN or an infinity; ``pred``'s first window is test window ``start``."""
+    finite = np.isfinite(pred)
+    if not finite.all():
+        first = start + int(np.argmin(finite.reshape(len(pred), -1).all(axis=1)))
+        raise ValidationError(f"{what} of test window {first} is not finite")
+
+
 def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
              seed: int = 0) -> EvalReport:
     """Run a predictor over test windows and aggregate ADE/FDE/KDE-NLL.
@@ -114,7 +123,8 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     per-window ensemble seeds derive from (seed, index), so reports are
     reproducible byte-for-byte at a fixed BLAS thread count (see fit_ridge).
     Steps whose ensemble is degenerate take the bandwidth floor, and one
-    RuntimeWarning counts them.
+    RuntimeWarning counts them. A NaN or infinite forecast, point or
+    ensemble, raises ValidationError naming its window.
     """
     if k < 2:
         raise ValueError(f"a KDE bandwidth needs K >= 2 ensemble members, got {k}")
@@ -127,6 +137,7 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     pred = predictor.forecast(pos, theta, gaze)
     if pred.shape != truth.shape:
         raise ValueError(f"trajectory length mismatch: {pred.shape} vs {truth.shape}")
+    _check_forecast(pred, 0, "point forecast")
     ex, ey = np.moveaxis(pred - truth, -1, 0)
     steps = np.sqrt(ex * ex + ey * ey)  # (N, H), np.linalg.norm's own formula
     nlls, degenerate = [], 0
@@ -139,6 +150,7 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
         ])
         ensemble = predictor.forecast(pos[part, None] + jitter, theta[part, None],
                                       None if gaze is None else gaze[part, None])  # (B, K, H, 2)
+        _check_forecast(ensemble, start, "ensemble forecast")
         nll, count = _kde_nll(ensemble, truth[part])
         nlls.append(nll)
         degenerate += count

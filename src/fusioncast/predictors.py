@@ -310,10 +310,11 @@ def load_model(path) -> RidgeModel:
         for key, frames in (("obs_frames", OBS_FRAMES), ("horizon", HORIZON_FRAMES)):
             if type(header[key]) is not int or header[key] != frames:
                 raise ValidationError(f"{key} must be the int {frames}, got {header[key]!r}")
-        for key in ("mean", "std"):  # floats, as save_model writes them; not bools
-            if not all(type(v) is float for v in header[key]):
-                raise ValidationError(f"{key} must be a list of floats")
-        rows, cols = (int(n) for n in header["weight_shape"])
+        # The JSON types save_model writes: no bool as a float, no float as an int.
+        for key, kind in (("mean", float), ("std", float), ("kept", bool), ("weight_shape", int)):
+            if not all(type(v) is kind for v in header[key]):
+                raise ValidationError(f"{key} must be a list of {kind.__name__}s")
+        rows, cols = header["weight_shape"]
         if min(rows, cols) < 0 or len(data) != 8 * rows * cols:
             raise ValidationError(f"{len(data)} weight bytes for weight shape {(rows, cols)}")
         return RidgeModel(

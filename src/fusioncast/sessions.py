@@ -149,7 +149,6 @@ class GridAligner:
         self._grid_ts = None
         self._prev_state: AgentState | None = None
         self._prev_gaze: tuple[float, float, float] | None = None
-        self._prev_heading: float | None = None
         self._gap_run = 0
         self.gap_frames = 0
         self.heading_carries = 0
@@ -186,38 +185,41 @@ class GridAligner:
             out.append(self._emit())
         return out
 
-    def _nearest(self, grid_ts: int):
+    def _emit(self) -> AlignedFrame:
+        grid_ts = self._grid_ts
+        self._grid_ts += GRID_PERIOD_US
         # Prune everything before the tolerance window, then linear-scan it
-        # (the window holds a handful of messages at sane input rates).
+        # for the nearest message (a handful at sane input rates).
         buf = self._buf
         low = grid_ts - GRID_TOLERANCE_US
         while buf and buf[0].timestamp_us < low:
             buf.popleft()
-        best = None
+        msg = None
         best_diff = None
-        for msg in buf:
-            if msg.timestamp_us > grid_ts + GRID_TOLERANCE_US:
+        for cand in buf:
+            if cand.timestamp_us > grid_ts + GRID_TOLERANCE_US:
                 break
-            diff = abs(msg.timestamp_us - grid_ts)
-            if best is None or diff < best_diff:  # ties keep the earlier message
-                best, best_diff = msg, diff
-        return best
+            diff = abs(cand.timestamp_us - grid_ts)
+            if msg is None or diff < best_diff:  # ties keep the earlier message
+                msg, best_diff = cand, diff
 
-    def _emit(self) -> AlignedFrame:
-        grid_ts = self._grid_ts
-        self._grid_ts += GRID_PERIOD_US
-        msg = self._nearest(grid_ts)
-        if msg is None:
-            return self._emit_gap(grid_ts)
-
-        heading, gaze_world = heading_and_rotate(
-            msg.orientation, msg.gaze_local if self._human else None)
-        heading_carried = heading is None
+        prev = self._prev_state
+        heading = None
+        if msg is not None:
+            heading, gaze_world = heading_and_rotate(
+                msg.orientation, msg.gaze_local if self._human else None)
+            heading_carried = heading is None
+            if heading_carried and prev is not None:
+                heading = prev.theta
+        if heading is None:
+            # No message within tolerance, or a degenerate heading before any
+            # valid one: a gap, bridged by the last frame while it is short.
+            self._gap_run += 1
+            self.gap_frames += 1
+            if self._gap_run <= BRIDGE_MAX_GAP and prev is not None:
+                return AlignedFrame(grid_ts, prev, self._prev_gaze, is_gap=True)
+            return AlignedFrame(grid_ts, None, is_gap=True)
         if heading_carried:
-            if self._prev_heading is None:
-                # Degenerate heading before any valid one: nothing to carry.
-                return self._emit_gap(grid_ts)
-            heading = self._prev_heading
             self.heading_carries += 1
 
         x, y, _ = msg.position
@@ -227,17 +229,7 @@ class GridAligner:
         self._gap_run = 0
         self._prev_state = state
         self._prev_gaze = gaze_world
-        self._prev_heading = heading
         return AlignedFrame(grid_ts, state, gaze_world, msg.timestamp_us, False, heading_carried)
-
-    def _emit_gap(self, grid_ts: int) -> AlignedFrame:
-        self._gap_run += 1
-        self.gap_frames += 1
-        if self._gap_run <= BRIDGE_MAX_GAP and self._prev_state is not None:
-            state, gaze = self._prev_state, self._prev_gaze
-        else:
-            state, gaze = None, None
-        return AlignedFrame(timestamp_us=grid_ts, state=state, gaze_world=gaze, is_gap=True)
 
 
 @dataclass

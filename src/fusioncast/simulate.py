@@ -24,17 +24,15 @@ numpy's per-call overhead costs more than the arithmetic, and a plain float
 expression rounds the same way everywhere, where a BLAS dot product may fuse
 or reorder it. For the same reason they clamp with _clamp, two comparisons
 that return what min(max(x, lo), hi) returns at about a quarter of its cost,
-and a walker projects onto the centerline once per step: the point that
-_advance_walker projects for the wall check is the one _steer_walker steers
-from next, so the walker carries that arc length over, and only a point
-moved by the wall clamp is projected again.
+and a walker projects onto the centerline once per step: the arc length
+that the wall check projects is carried as a local into the next step's
+steering, and only a point moved by the wall clamp is projected again.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
@@ -121,7 +119,6 @@ class CorridorMap:
         return self._cum[-1]
 
     def _segment_of(self, s: float) -> int:
-        s = _clamp(s, 0.0, self.total_length)
         return _clamp(bisect_right(self._cum, s) - 1, 0, len(self._segs) - 1)
 
     def point_at(self, s: float) -> tuple[float, float]:
@@ -192,69 +189,6 @@ class HumanWalkerParams:
             raise ValueError(f"need gaze_lead >= head_lead, got {self.gaze_lead_s}/{self.head_lead_s}")
 
 
-@dataclass(slots=True)
-class _WalkerState:
-    x: float
-    y: float
-    theta: float
-    speed: float
-    direction: int  # +1 toward the far end, -1 back
-    noise: Iterator[float]  # standard normals, heading then speed per step
-    # Arc length of (x, y) as _advance_walker projected it, or None when
-    # (x, y) was never projected: at the start and after a wall clamp.
-    s_proj: float | None = None
-
-
-def _steer_walker(corridor: CorridorMap, me: _WalkerState) -> float:
-    """Desired heading by pure pursuit, turning around at either end."""
-    x, y = me.x, me.y
-    s_proj = me.s_proj
-    if s_proj is None:
-        s_proj, _lateral = corridor.project((x, y))
-    length = corridor.total_length
-    if me.direction > 0 and s_proj >= length - END_MARGIN_M:
-        me.direction = -1
-    elif me.direction < 0 and s_proj <= END_MARGIN_M:
-        me.direction = 1
-    tx, ty = corridor.point_at(s_proj + me.direction * LOOKAHEAD_M)
-
-    # Scaling the pull to the preferred speed leaves its direction alone but
-    # not atan2's last bit, and saved corpora pin that rounding.
-    dx, dy = tx - x, ty - y
-    norm = math.sqrt(dx * dx + dy * dy)
-    if norm > 1e-9:
-        dx, dy = dx / norm * PREFERRED_SPEED, dy / norm * PREFERRED_SPEED
-
-    return math.atan2(dy, dx)
-
-
-def _advance_walker(corridor: CorridorMap, me: _WalkerState, psi: float) -> None:
-    psi += HEADING_NOISE_STD * next(me.noise)
-    dtheta = wrap_angle(psi - me.theta)
-    max_step = WALKER_MAX_YAW_RATE * SIM_DT
-    dtheta = _clamp(dtheta, -max_step, max_step)
-    me.theta = wrap_angle(me.theta + dtheta)
-
-    v_des = PREFERRED_SPEED * (1.0 - TURN_SLOWDOWN * min(1.0, abs(dtheta) / max_step))
-    v_des += SPEED_NOISE_STD * next(me.noise)
-    v_des = _clamp(v_des, 0.15, PREFERRED_SPEED * 1.3)
-    me.speed += _clamp(v_des - me.speed, -WALKER_ACCEL * SIM_DT, WALKER_ACCEL * SIM_DT)
-
-    step = me.speed * SIM_DT
-    x, y = me.x + step * math.cos(me.theta), me.y + step * math.sin(me.theta)
-
-    # Hard wall constraint: clamp the lateral offset inside the corridor.
-    s_proj, lateral = corridor.project((x, y))
-    max_lat = corridor.width / 2 - WALL_MARGIN_M
-    if abs(lateral) > max_lat:
-        ux, uy = corridor.tangent_at(s_proj)
-        cx, cy = corridor.point_at(s_proj)
-        offset = math.copysign(max_lat, lateral)
-        x, y = cx + offset * -uy, cy + offset * ux
-        s_proj = None
-    me.x, me.y, me.s_proj = x, y, s_proj
-
-
 def _check_duration(duration_s: float) -> None:
     """Every simulated session, human or robot, holds at least one window and
     at most MAX_SESSION_DURATION_S of frames."""
@@ -275,14 +209,54 @@ def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s:
     n_frames = int(round(duration_s / SIM_DT))
     x, y = corridor.point_at(0.0)
     ux, uy = corridor.tangent_at(0.0)
-    noise = np.random.default_rng(params.seed).standard_normal(2 * n_frames).tolist()
-    walker = _WalkerState(x=x, y=y, theta=math.atan2(uy, ux), speed=PREFERRED_SPEED,
-                          direction=1, noise=iter(noise))
+    theta = math.atan2(uy, ux)
+    speed = PREFERRED_SPEED
+    direction = 1  # +1 toward the far end, -1 back
+    # Arc length of (x, y) as the wall check projected it, or None when (x, y)
+    # was never projected: at the start and after a wall clamp.
+    s_proj = None
+    turn_at = corridor.total_length - END_MARGIN_M
+    max_step = WALKER_MAX_YAW_RATE * SIM_DT
+    max_lat = corridor.width / 2 - WALL_MARGIN_M
+    noise = iter(np.random.default_rng(params.seed).standard_normal(2 * n_frames).tolist())
     positions, body = [], []
-    for _ in range(n_frames):
-        positions.append((walker.x, walker.y))
-        body.append(walker.theta)
-        _advance_walker(corridor, walker, _steer_walker(corridor, walker))
+    for heading_noise, speed_noise in zip(noise, noise):
+        positions.append((x, y))
+        body.append(theta)
+
+        # Desired heading by pure pursuit, turning around at either end.
+        if s_proj is None:
+            s_proj, _lateral = corridor.project((x, y))
+        if direction > 0 and s_proj >= turn_at:
+            direction = -1
+        elif direction < 0 and s_proj <= END_MARGIN_M:
+            direction = 1
+        tx, ty = corridor.point_at(s_proj + direction * LOOKAHEAD_M)
+        # Scaling the pull to the preferred speed leaves its direction alone
+        # but not atan2's last bit, and saved corpora pin that rounding.
+        dx, dy = tx - x, ty - y
+        norm = math.sqrt(dx * dx + dy * dy)
+        if norm > 1e-9:
+            dx, dy = dx / norm * PREFERRED_SPEED, dy / norm * PREFERRED_SPEED
+        psi = math.atan2(dy, dx) + HEADING_NOISE_STD * heading_noise
+
+        dtheta = _clamp(wrap_angle(psi - theta), -max_step, max_step)
+        theta = wrap_angle(theta + dtheta)
+        v_des = PREFERRED_SPEED * (1.0 - TURN_SLOWDOWN * min(1.0, abs(dtheta) / max_step))
+        v_des += SPEED_NOISE_STD * speed_noise
+        v_des = _clamp(v_des, 0.15, PREFERRED_SPEED * 1.3)
+        speed += _clamp(v_des - speed, -WALKER_ACCEL * SIM_DT, WALKER_ACCEL * SIM_DT)
+        step = speed * SIM_DT
+        x, y = x + step * math.cos(theta), y + step * math.sin(theta)
+
+        # Hard wall constraint: clamp the lateral offset inside the corridor.
+        s_proj, lateral = corridor.project((x, y))
+        if abs(lateral) > max_lat:
+            ux, uy = corridor.tangent_at(s_proj)
+            cx, cy = corridor.point_at(s_proj)
+            offset = math.copysign(max_lat, lateral)
+            x, y = cx + offset * -uy, cy + offset * ux
+            s_proj = None
 
     head_shift = int(round(params.head_lead_s / SIM_DT))
     gaze_shift = int(round(params.gaze_lead_s / SIM_DT))

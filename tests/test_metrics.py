@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fusioncast import metrics
-from fusioncast.errors import ConfigError
+from fusioncast.errors import ConfigError, ValidationError
 from fusioncast.geometry import AgentState
 from fusioncast.metrics import (
     KDE_BANDWIDTH_FLOOR,
@@ -265,6 +265,24 @@ class TestEvaluate:
         config = FeatureConfig.POSE_ONLY
         with pytest.raises(ValueError, match="length mismatch"):
             evaluate(ShortPredictor(), corpus_windows[config], config)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("what", ["point", "ensemble"])
+    def test_rejects_non_finite_forecast(self, corpus_windows, what, value):
+        # A NaN step used to score NaN ADE and KDE-NLL with no warning, an
+        # infinite one to emit only numpy's invalid-value RuntimeWarning.
+        class PoisonedPredictor:
+            feature_config = FeatureConfig.POSE_ONLY
+
+            def forecast(self, pos, theta, gaze):
+                out = ConstantVelocityPredictor(self.feature_config).forecast(pos, theta, gaze)
+                if (out.ndim == 4) == (what == "ensemble"):
+                    out[4, ..., 7, 0] = value  # window 4 of the first block, step 7
+                return out
+
+        config = FeatureConfig.POSE_ONLY
+        with pytest.raises(ValidationError, match=f"{what} forecast of test window 4 is not finite"):
+            evaluate(PoisonedPredictor(), corpus_windows[config], config)
 
     def test_rejects_partial_future(self, corpus_windows):
         # segment cuts windows with a 5-frame future for prediction; fitting

@@ -119,6 +119,12 @@ class TestLoadModel:
         {"feature_config": "no_such_config"},
         {"horizon": 39},
         {"kept": [True] * (DIMS - 1)},
+        # JSON types save_model never writes, each loaded by int() or bool() before.
+        pytest.param({"weight_shape": [80.9, 80.2]}, id="weight_shape_floats"),
+        pytest.param({"weight_shape": ["80", "80"]}, id="weight_shape_strings"),
+        pytest.param({"kept": [1] * DIMS}, id="kept_ints"),
+        pytest.param({"kept": ["no"] * DIMS}, id="kept_strings"),
+        pytest.param({"kept": [0.5] * DIMS}, id="kept_floats"),
         # The whole header: nested past the recursion limit, under MAX_HEADER_BYTES.
         pytest.param("[" * 200_000 + "]" * 200_000, id="nested"),
     ])

@@ -13,6 +13,7 @@ from fusioncast.errors import OrderingError, ProtocolError
 from fusioncast.geometry import quaternion_from_yaw
 from fusioncast.protocol import Hello, HeadsetSample, RobotSample, SessionEnd, SessionStart
 from fusioncast.sessions import (
+    BRIDGE_MAX_GAP,
     GRID_PERIOD_US,
     GRID_TOLERANCE_US,
     MAX_GAP_US,
@@ -279,6 +280,41 @@ class TestResample:
         assert frame.heading_carried
         assert frame.state.theta == pytest.approx(0.3)
         assert result.heading_carries == 1
+
+    def test_degenerate_heading_before_first_pose_and_after_long_gap(self):
+        # Messages 0-2 and 16 point straight up; 10-15 never arrive. Offline
+        # resample and one aligner fed message by message must agree.
+        up_q = (math.cos(-math.pi / 4), 0.0, math.sin(-math.pi / 4), 0.0)
+        session = Session(1, "human")
+        for i in range(30):
+            if 10 <= i < 16:
+                continue
+            q = up_q if i < 3 or i == 16 else quaternion_from_yaw(0.3)
+            session.ingest(HeadsetSample(i * 100_000, 1, (0.1 * i, 0.0, 1.6), q, FWD_GAZE))
+        session.end()
+        result = resample(session)
+        aligner = GridAligner("human")
+        online = []
+        for msg in session.messages:
+            online += aligner.push_message(msg)
+        online += aligner.finish()
+        assert online == result.frames
+        for counts in (result, aligner):
+            assert counts.gap_frames == 9
+            assert counts.heading_carries == 1
+
+        frames = result.frames
+        assert len(frames) == 30
+        for frame in frames[:3]:  # no valid heading yet: nothing to carry or bridge
+            assert frame.is_gap and frame.state is None and not frame.heading_carried
+        assert not frames[3].is_gap and not frames[3].heading_carried
+        assert all(f.is_gap and f.state == frames[9].state for f in frames[10:10 + BRIDGE_MAX_GAP])
+        assert all(f.is_gap and f.state is None for f in frames[10 + BRIDGE_MAX_GAP:16])
+        carried = frames[16]
+        assert not carried.is_gap and carried.heading_carried
+        assert carried.source_pose_ts == 16 * 100_000
+        assert carried.state.x == 0.1 * 16
+        assert carried.state.theta == frames[9].state.theta == pytest.approx(0.3)
 
     def test_too_short_session_gives_diagnostic(self):
         session = Session(1, "human")
