@@ -78,8 +78,8 @@ class AgentState(namedtuple("AgentState", "x y theta")):
     ``protocol``: a sum of numpy scalars warns on overflow, and a sum after
     float() would accept numeric strings. The aligner and ``predict`` build
     with the unchecked ``AgentState._make``, from floats checked where they
-    came in (a message's position, one isfinite of a whole forecast) and a
-    heading already wrapped.
+    came in (the position of a message, a checked tuple that cannot change;
+    one isfinite of a whole forecast) and a heading already wrapped.
     """
 
     __slots__ = ()

@@ -104,12 +104,13 @@ class EvalReport:
         return cls(**json.loads(text))
 
 
-def _check_forecast(pred: np.ndarray, start: int, what: str) -> None:
-    """Raise ValidationError naming the first window whose forecast holds a
-    NaN or an infinity; ``pred``'s first window is test window ``start``."""
-    finite = np.isfinite(pred)
+def _check_forecast(values: np.ndarray, start: int, what: str) -> None:
+    """Raise ValidationError naming the first window whose forecast (or its
+    error) holds a NaN or an infinity; ``values``' first window is test
+    window ``start``."""
+    finite = np.isfinite(values)
     if not finite.all():
-        first = start + int(np.argmin(finite.reshape(len(pred), -1).all(axis=1)))
+        first = start + int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
         raise ValidationError(f"{what} of test window {first} is not finite")
 
 
@@ -124,7 +125,8 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     reproducible byte-for-byte at a fixed BLAS thread count (see fit_ridge).
     Steps whose ensemble is degenerate take the bandwidth floor, and one
     RuntimeWarning counts them. A NaN or infinite forecast, point or
-    ensemble, raises ValidationError naming its window.
+    ensemble, or a point forecast whose error overflows raises
+    ValidationError naming its window.
     """
     if k < 2:
         raise ValueError(f"a KDE bandwidth needs K >= 2 ensemble members, got {k}")
@@ -138,8 +140,10 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     if pred.shape != truth.shape:
         raise ValueError(f"trajectory length mismatch: {pred.shape} vs {truth.shape}")
     _check_forecast(pred, 0, "point forecast")
-    ex, ey = np.moveaxis(pred - truth, -1, 0)
-    steps = np.sqrt(ex * ex + ey * ey)  # (N, H), np.linalg.norm's own formula
+    with np.errstate(over="ignore"):  # an error too large to square is refused below
+        ex, ey = np.moveaxis(pred - truth, -1, 0)
+        steps = np.sqrt(ex * ex + ey * ey)  # (N, H), np.linalg.norm's own formula
+    _check_forecast(steps, 0, "point forecast error")
     nlls, degenerate = [], 0
     block = max(1, _MEMBERS_PER_BLOCK // k)
     for start in range(0, len(windows), block):

@@ -15,17 +15,13 @@ Other frames need not survive the trip: a hardware quaternion or gaze vector
 whose norm is within 1e-6 of 1, but not within 1e-12, decodes renormalized
 and so re-encodes to other bytes.
 
-Validation runs in each message's constructor, which is also how decode
-builds messages, and once more in encode. That second check is there
-because a frozen dataclass can still be changed through object.__setattr__,
-and no invalid frame may reach the wire; encode re-runs the constructor's own
-checks, never a second validator. The telemetry samples, built several times
-for every recorded frame (simulator, encode, decode), check in one pass:
-their hand-written __init__ takes exact tuples of the right lengths and ints
-in range, tests the position (and a robot's speed and yaw rate) by one sum
-and each unit tuple by one sum of squares, and stores each field once,
-through its slot descriptor's __set__ (a frozen dataclass's own __setattr__
-refuses). Any other input, or any failed test, goes to the per-field
+Messages are checked tuples: the constructor, which is also how decode
+builds a message, validates each field once, and encode packs the fields
+with no second check. The telemetry samples, built twice for every recorded
+frame (simulator, decode), check in one pass: their constructor takes exact
+tuples of the right lengths and ints in range, tests the position (and a
+robot's speed and yaw rate) by one sum and each unit tuple by one sum of
+squares. Any other input, or any failed test, goes to the per-field
 validators below, which alone raise, with their errors in their order; their
 fast path costs one sum per float tuple, and only a non-finite sum checks
 each component.
@@ -36,11 +32,10 @@ geometry.AgentState's constructor checks one isfinite per field; aligned
 frames and predicted steps, checked where they came in, use its ``_make``.
 
 Each telemetry type has one frame struct, header included (_HEADSET_FRAME,
-_ROBOT_FRAME), so a sample is encoded by one pack after its checks and
-decoded by one unpack once its tag and length are known. A telemetry frame
-whose length is wrong takes the same header checks as every other frame and
-fails on its payload size. Every message type has one route in encode and
-one in decode.
+_ROBOT_FRAME), so a sample is encoded by one pack and decoded by one unpack
+once its tag and length are known. A telemetry frame whose length is wrong
+takes the same header checks as every other frame and fails on its payload
+size. Every message type has one route in encode and one in decode.
 
 Payloads:
 
@@ -61,7 +56,8 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import chain
 
 from .errors import ProtocolError, ValidationError
@@ -150,47 +146,54 @@ def _check_each_finite(values: tuple[float, ...], what: str) -> None:
             raise ValidationError(f"{what} has non-finite component {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a tuple: an empty one is falsy
 class Hello:
     """Version/identity handshake; both peers send one before anything else."""
 
 
-@dataclass(frozen=True)
-class SessionStart:
-    session_id: int
-    agent_kind: str
-    label: str = ""
+class _Checked:
+    """Base of the message tuples: ``_make``, and so ``_replace``, builds
+    through the checked constructor, as pickle and copy do."""
 
-    def __post_init__(self):
-        _check_uint(self.session_id, 32, "session_id")
-        if not isinstance(self.agent_kind, str) or self.agent_kind not in _AGENT_CODES:
-            raise ValidationError(f"agent_kind must be 'human' or 'robot', got {self.agent_kind!r}")
-        if not isinstance(self.label, str):
-            raise ValidationError(f"label must be a str, got {self.label!r}")
-        if len(self.label.encode("utf-8")) > 0xFFFF:
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class SessionStart(_Checked, namedtuple("SessionStart", "session_id agent_kind label")):
+    __slots__ = ()
+
+    def __new__(cls, session_id, agent_kind, label=""):
+        _check_uint(session_id, 32, "session_id")
+        if not isinstance(agent_kind, str) or agent_kind not in _AGENT_CODES:
+            raise ValidationError(f"agent_kind must be 'human' or 'robot', got {agent_kind!r}")
+        if not isinstance(label, str):
+            raise ValidationError(f"label must be a str, got {label!r}")
+        if len(label.encode("utf-8")) > 0xFFFF:
             raise ValidationError("label longer than 65535 bytes")
+        return tuple.__new__(cls, (session_id, agent_kind, label))
 
 
-@dataclass(frozen=True)
-class SessionEnd:
-    session_id: int
-    complete: bool = True
+class SessionEnd(_Checked, namedtuple("SessionEnd", "session_id complete")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_uint(self.session_id, 32, "session_id")
-        if not isinstance(self.complete, bool):
-            raise ValidationError(f"complete must be a bool, got {self.complete!r}")
+    def __new__(cls, session_id, complete=True):
+        _check_uint(session_id, 32, "session_id")
+        if not isinstance(complete, bool):
+            raise ValidationError(f"complete must be a bool, got {complete!r}")
+        return tuple.__new__(cls, (session_id, complete))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class HeadsetSample:
-    timestamp_us: int
-    session_id: int
-    position: tuple[float, float, float]
-    orientation: tuple[float, float, float, float]  # (w, x, y, z), unit
-    gaze_local: tuple[float, float, float]  # unit, device-local frame
+class HeadsetSample(_Checked, namedtuple(
+        "HeadsetSample", "timestamp_us session_id position orientation gaze_local")):
+    """Position (x, y, z) in m; orientation (w, x, y, z), unit; gaze_local
+    unit, in the device-local frame."""
 
-    def __init__(self, timestamp_us, session_id, position, orientation, gaze_local):
+    __slots__ = ()
+
+    def __new__(cls, timestamp_us, session_id, position, orientation, gaze_local):
         try:
             fast = (int is type(timestamp_us) is type(session_id) and not timestamp_us >> 64
                     and not session_id >> 32
@@ -215,23 +218,17 @@ class HeadsetSample:
             position = _check_finite_tuple(position, 3, "position")
             orientation = _check_unit_tuple(orientation, 4, "orientation")
             gaze_local = _check_unit_tuple(gaze_local, 3, "gaze_local")
-        _set_headset_timestamp(self, timestamp_us)
-        _set_headset_session(self, session_id)
-        _set_headset_position(self, position)
-        _set_headset_orientation(self, orientation)
-        _set_headset_gaze(self, gaze_local)
+        return tuple.__new__(cls, (timestamp_us, session_id, position, orientation, gaze_local))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RobotSample:
-    timestamp_us: int
-    session_id: int
-    position: tuple[float, float, float]
-    orientation: tuple[float, float, float, float]
-    linear_speed: float  # m/s, >= 0
-    yaw_rate: float  # rad/s
+class RobotSample(_Checked, namedtuple(
+        "RobotSample", "timestamp_us session_id position orientation linear_speed yaw_rate")):
+    """Position (x, y, z) in m; orientation (w, x, y, z), unit; linear_speed
+    in m/s, >= 0; yaw_rate in rad/s."""
 
-    def __init__(self, timestamp_us, session_id, position, orientation, linear_speed, yaw_rate):
+    __slots__ = ()
+
+    def __new__(cls, timestamp_us, session_id, position, orientation, linear_speed, yaw_rate):
         try:
             fast = (int is type(timestamp_us) is type(session_id) and not timestamp_us >> 64
                     and not session_id >> 32 and tuple is type(position) is type(orientation))
@@ -257,33 +254,20 @@ class RobotSample:
                 raise ValidationError(f"linear_speed must be finite and >= 0, got {speed!r}")
             if not math.isfinite(yaw_rate):
                 raise ValidationError(f"yaw_rate must be finite, got {yaw_rate!r}")
-        _set_robot_timestamp(self, timestamp_us)
-        _set_robot_session(self, session_id)
-        _set_robot_position(self, position)
-        _set_robot_orientation(self, orientation)
-        _set_robot_speed(self, speed)
-        _set_robot_yaw_rate(self, yaw_rate)
+        return tuple.__new__(cls, (timestamp_us, session_id, position, orientation, speed,
+                                   yaw_rate))
 
 
-# The slot descriptors' stores, which the frozen dataclasses' __setattr__
-# cannot block; the constructors above set each field through one of them.
-(_set_headset_timestamp, _set_headset_session, _set_headset_position, _set_headset_orientation,
- _set_headset_gaze) = (getattr(HeadsetSample, f.name).__set__ for f in fields(HeadsetSample))
-(_set_robot_timestamp, _set_robot_session, _set_robot_position, _set_robot_orientation,
- _set_robot_speed, _set_robot_yaw_rate) = (getattr(RobotSample, f.name).__set__
-                                           for f in fields(RobotSample))
+class Prediction(_Checked, namedtuple("Prediction", "timestamp_us session_id states")):
+    """timestamp_us is that of the last observed frame; states holds one
+    (x, y, theta) per horizon step."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Prediction:
-    timestamp_us: int  # timestamp of the last observed frame
-    session_id: int
-    states: tuple[tuple[float, float, float], ...]  # (x, y, theta) per horizon step
-
-    def __post_init__(self):
-        _check_uint(self.timestamp_us, 64, "timestamp_us")
-        _check_uint(self.session_id, 32, "session_id")
-        raw = tuple(self.states)
+    def __new__(cls, timestamp_us, session_id, states):
+        _check_uint(timestamp_us, 64, "timestamp_us")
+        _check_uint(session_id, 32, "session_id")
+        raw = tuple(states)
         states = _fast_prediction_states(raw)
         if states is None:
             # The per-state checks decide, and raise in their own order.
@@ -292,7 +276,7 @@ class Prediction:
             for _, _, theta in states:
                 if not (-math.pi < theta <= math.pi):
                     raise ValidationError(f"prediction theta {theta!r} outside (-pi, pi]")
-        object.__setattr__(self, "states", states)
+        return tuple.__new__(cls, (timestamp_us, session_id, states))
 
 
 def _fast_prediction_states(raw: tuple) -> tuple[tuple[float, float, float], ...] | None:
@@ -316,36 +300,25 @@ Message = Hello | SessionStart | SessionEnd | HeadsetSample | RobotSample | Pred
 
 
 def encode(msg: Message) -> bytes:
-    """Encode one message as a length-prefixed frame.
-
-    Each message first re-runs its constructor's own checks: a frozen message
-    can still be changed through object.__setattr__.
-    """
+    """Encode one message as a length-prefixed frame."""
     if isinstance(msg, HeadsetSample):
-        msg.__init__(msg.timestamp_us, msg.session_id, msg.position, msg.orientation,
-                     msg.gaze_local)
         return _HEADSET_FRAME.pack(_HEADSET_FRAME_LEN, MSG_HEADSET_SAMPLE, msg.timestamp_us,
                                    msg.session_id, *msg.position, *msg.orientation,
                                    *msg.gaze_local)
     if isinstance(msg, RobotSample):
-        msg.__init__(msg.timestamp_us, msg.session_id, msg.position, msg.orientation,
-                     msg.linear_speed, msg.yaw_rate)
         return _ROBOT_FRAME.pack(_ROBOT_FRAME_LEN, MSG_ROBOT_SAMPLE, msg.timestamp_us,
                                  msg.session_id, *msg.position, *msg.orientation,
                                  msg.linear_speed, msg.yaw_rate)
     if isinstance(msg, Hello):
         return _frame(MSG_HELLO, b"")
     if isinstance(msg, SessionStart):
-        msg.__post_init__()
         label = msg.label.encode("utf-8")
         return _frame(MSG_SESSION_START, _SESSION_START_HEAD.pack(
             msg.session_id, _AGENT_CODES[msg.agent_kind], len(label)
         ) + label)
     if isinstance(msg, SessionEnd):
-        msg.__post_init__()
         return _frame(MSG_SESSION_END, _SESSION_END.pack(msg.session_id, 1 if msg.complete else 0))
     if isinstance(msg, Prediction):
-        msg.__post_init__()
         count = len(msg.states)
         return _frame(MSG_PREDICTION, _PREDICTION_HEAD.pack(
             msg.timestamp_us, msg.session_id, count

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import protocol
 from .errors import OrderingError, ProtocolError
-from .geometry import AgentState, _check_finite, heading_and_rotate
+from .geometry import AgentState, heading_and_rotate
 from .protocol import (
     AGENT_HUMAN,
     AGENT_ROBOT,
@@ -223,8 +223,6 @@ class GridAligner:
             self.heading_carries += 1
 
         x, y, _ = msg.position
-        if not (x - x == 0.0 and y - y == 0.0):  # a message changed after its checks
-            _check_finite(x, y, heading)
         state = AgentState._make((x, y, heading))  # heading_and_rotate wrapped it
         self._gap_run = 0
         self._prev_state = state

@@ -75,6 +75,11 @@ MIN_SESSION_DURATION_S = (OBS_FRAMES + HORIZON_FRAMES) * SIM_STEP_US / 1_000_000
 # duration alone sets a session's work and memory: one hour is 36,000 frames
 # and 72,000 normals, 20 times the longest session any workload or test runs.
 MAX_SESSION_DURATION_S = 3600.0
+# generate_corpus holds every session's messages at once, about 570 bytes
+# each, so with the longest sessions this bounds a corpus to 3.6 million
+# frames, about 2 GB; over 3 times the largest corpus any workload or test
+# generates (30 sessions).
+MAX_CORPUS_SESSIONS = 100
 MIN_ROUTE_LENGTH_M = 2.0
 
 
@@ -195,6 +200,13 @@ def _check_duration(duration_s: float) -> None:
     if not MIN_SESSION_DURATION_S <= duration_s <= MAX_SESSION_DURATION_S:
         raise ValueError(f"duration must be within [{MIN_SESSION_DURATION_S}, "
                          f"{MAX_SESSION_DURATION_S}] s, got {duration_s}")
+
+
+def _check_session_count(n_sessions: int) -> None:
+    """A corpus is split three ways and held in memory whole."""
+    if not 6 <= n_sessions <= MAX_CORPUS_SESSIONS:
+        raise ConfigError(f"n_human + n_robot must be in [6, {MAX_CORPUS_SESSIONS}] "
+                          f"for a 3-way split, got {n_sessions}")
 
 
 def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s: float,
@@ -382,9 +394,10 @@ class CorpusConfig:
                 raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
         duration = self.duration_s
         if not (isinstance(duration, Real) and not isinstance(duration, bool)
-                and 0 < duration <= MAX_SESSION_DURATION_S):
-            raise ConfigError(f"duration_s must be in (0, {MAX_SESSION_DURATION_S}], "
-                              f"got {duration!r}")
+                and MIN_SESSION_DURATION_S <= duration <= MAX_SESSION_DURATION_S):
+            raise ConfigError(f"duration_s must be in [{MIN_SESSION_DURATION_S}, "
+                              f"{MAX_SESSION_DURATION_S}], got {duration!r}")
+        _check_session_count(self.n_human + self.n_robot)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -423,8 +436,7 @@ def _robot_waypoints(corridor: CorridorMap, rng) -> tuple:
 def generate_corpus(config: CorpusConfig) -> list[Session]:
     """All sessions for one experiment. Human sessions get ids 1..n_human,
     robots continue from there. Deterministic in the config alone."""
-    if config.n_human + config.n_robot < 6:
-        raise ValueError("corpus needs at least 6 sessions for a 3-way split")
+    _check_session_count(config.n_human + config.n_robot)
     _check_duration(config.duration_s)
     maps = corpus_maps(config.seed)
     sessions = []

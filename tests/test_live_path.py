@@ -173,31 +173,23 @@ class TestWindowRows:
 class TestChecksMoved:
     """Values checked once where they come in still raise there."""
 
-    def _stream(self, index, value, axis):
+    @pytest.mark.parametrize("index,axis,value", [
+        (2, 0, math.nan), (2, 0, math.inf), (2, 0, -math.inf),
+        (2, 1, math.nan), (2, 1, math.inf), (2, 1, -math.inf),
+        (5, 0, math.nan), (5, 0, math.inf),
+    ])
+    def test_position_cannot_change_after_checks(self, message_is_fixed, index, axis, value):
+        # The aligner builds its poses unchecked from message positions, so
+        # none may change after its constructor checked it: message 2 is
+        # aligned on a push, message 5 at finish.
         msgs = [HeadsetSample(i * GRID_PERIOD_US, 1, (0.1 * i, 0.0, 1.6),
                               quaternion_from_yaw(0.0), (1.0, 0.0, 0.0)) for i in range(6)]
         position = list(msgs[index].position)
         position[axis] = value
-        object.__setattr__(msgs[index], "position", tuple(position))
-        return msgs
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_mutated_position_raises_on_push(self, value, axis):
+        message_is_fixed(msgs[index], "position", tuple(position))
         aligner = GridAligner("human")
-        msgs = self._stream(2, value, axis)
-        for msg in msgs[:3]:
-            aligner.push_message(msg)
-        with pytest.raises(ValidationError, match="AgentState.[xy] must be finite"):
-            aligner.push_message(msgs[3])
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_mutated_position_raises_on_finish(self, value):
-        aligner = GridAligner("human")
-        for msg in self._stream(5, value, 0):
-            aligner.push_message(msg)
-        with pytest.raises(ValidationError, match="AgentState.x must be finite"):
-            aligner.finish()
+        frames = [f for msg in msgs for f in aligner.push_message(msg)] + aligner.finish()
+        assert [f.state[:2] for f in frames] == [msg.position[:2] for msg in msgs]
 
     def _window(self):
         stream, models = _corpus()

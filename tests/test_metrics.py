@@ -284,6 +284,28 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match=f"{what} forecast of test window 4 is not finite"):
             evaluate(PoisonedPredictor(), corpus_windows[config], config)
 
+    def test_rejects_overflowing_error(self):
+        # A finite step at 1e200 is past the finite check, but its squared
+        # error overflows: it used to score ade=inf and ade_variance=nan,
+        # with numpy's overflow warnings as the only signal.
+        config = FeatureConfig.POSE_ONLY
+        windows = [w for s in generate_corpus(CorpusConfig(6, 0, 24.0, seed=3))
+                   for w in segment(resample(s).frames, s.session_id, config)]
+        assert len(windows) == 114
+
+        class HugePredictor:
+            feature_config = config
+
+            def forecast(self, pos, theta, gaze):
+                out = ConstantVelocityPredictor(self.feature_config).forecast(pos, theta, gaze)
+                if out.ndim == 3:  # the point forecast
+                    out[4, 7, 0] = 1e200
+                return out
+
+        with pytest.raises(ValidationError,
+                           match="point forecast error of test window 4 is not finite"):
+            evaluate(HugePredictor(), windows, config)
+
     def test_rejects_partial_future(self, corpus_windows):
         # segment cuts windows with a 5-frame future for prediction; fitting
         # and scoring need the full horizon.

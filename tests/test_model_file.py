@@ -169,6 +169,42 @@ class TestLoadModel:
             load_model(path)
         assert str(path) in str(info.value)
 
+    def test_mutated_headers_raise_only_validation_error(self, tmp_path):
+        # Seeded mutations of a saved header: half swap one value, or one
+        # element of a list, for a hostile JSON value; half change 1-4 random
+        # bytes, a fifth of those also cut short. Each file loads or raises
+        # ValidationError, nothing else.
+        header, weights = _header_and_weights(tmp_path)
+        hostile = [-1, 0, 1, 20, 40, 80, -0.0, 1.5, 1e308, 1e-300, math.nan, math.inf, True,
+                   False, None, "x", "pose_only", [], [80, 80], [80, 80, 1], {}]
+        rng = np.random.default_rng(29)
+        outcomes = {"loaded": 0, "refused": 0}
+        for _ in range(1000):
+            edited = json.loads(json.dumps(header))
+            key = list(edited)[int(rng.integers(0, len(edited)))]
+            value = hostile[int(rng.integers(0, len(hostile)))]
+            if rng.integers(0, 2):
+                if isinstance(edited[key], list) and rng.integers(0, 2):
+                    edited[key][int(rng.integers(0, len(edited[key])))] = value
+                else:
+                    edited[key] = value
+                blob = json.dumps(edited).encode("utf-8")
+            else:
+                blob = bytearray(json.dumps(edited).encode("utf-8"))
+                for pos in rng.integers(0, len(blob), size=int(rng.integers(1, 5))):
+                    blob[int(pos)] = int(rng.integers(0, 256))
+                if rng.integers(0, 5) == 0:
+                    blob = blob[:int(rng.integers(0, len(blob)))]
+            path = tmp_path / "mutated.fcm"
+            path.write_bytes(MODEL_MAGIC + struct.pack("<I", len(blob)) + bytes(blob) + weights)
+            try:
+                load_model(path)
+            except ValidationError:
+                outcomes["refused"] += 1
+            else:
+                outcomes["loaded"] += 1
+        assert min(outcomes.values()) > 25, outcomes
+
     def test_saved_bytes_unchanged(self, tmp_path):
         # SHA-256 recorded from an earlier build: the header checks change
         # what loads, never what is written.

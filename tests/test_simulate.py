@@ -387,7 +387,8 @@ class TestCorpus:
         ("n_human", -3), ("n_human", 6.5), ("n_human", True), ("n_robot", "4"),
         ("n_robot", None), ("duration_s", math.nan), ("duration_s", math.inf),
         ("duration_s", -1.0), ("duration_s", 0.0), ("duration_s", "60"), ("duration_s", False),
-        ("duration_s", 3600.5), ("duration_s", 1e7),
+        ("duration_s", 3600.5), ("duration_s", 1e7), ("duration_s", 5.99), ("n_robot", 1),
+        ("n_human", 99), ("n_human", 10 ** 9),
         ("seed", 1.5), ("seed", "7"), ("seed", -1), ("seed", None),
     ])
     def test_config_rejects_bad_values(self, field, value):
@@ -399,6 +400,15 @@ class TestCorpus:
             CorpusConfig(**raw)
         with pytest.raises(ConfigError, match=field):
             CorpusConfig.from_dict(raw)
+
+    def test_every_config_that_constructs_generates(self):
+        # generate_corpus refused these configs, which constructed.
+        for raw in ((2, 1, 3.0, 0), (0, 6, 1.0, 0), (10 ** 9, 0, 8.0, 0)):
+            with pytest.raises(ConfigError):
+                CorpusConfig(*raw)
+        for raw in ((6, 0, MIN_SESSION_DURATION_S, 0), (0, 6, MIN_SESSION_DURATION_S, 1)):
+            assert len(generate_corpus(CorpusConfig(*raw))) == 6
+        assert CorpusConfig(simulate.MAX_CORPUS_SESSIONS - 1, 1).n_human == 99
 
     def test_duration_bounded_before_any_draw(self, monkeypatch):
         # A walker draws two normals per frame up front, so the duration
@@ -429,6 +439,37 @@ class TestCorpus:
         raw = {**CorpusConfig().to_dict(), "n_companions": 2}
         with pytest.raises(ConfigError, match="n_companions.*unknown"):
             CorpusConfig.from_dict(raw)
+
+    def test_mutated_config_dicts_raise_only_config_error(self):
+        # Seeded mutations of a config dict (1-3 values swapped for hostile
+        # ones, a key dropped or added): each builds a config inside the
+        # bounds generate_corpus checks, or raises ConfigError.
+        hostile = [-1, 0, 1, 5, 6, 99, 100, 10 ** 9, 10 ** 400, 5.99, 6.0, 3600.0, 3600.5,
+                   1e308, math.nan, math.inf, -math.inf, True, False, None, "8", [], {}]
+        base = CorpusConfig(n_human=4, n_robot=2, duration_s=20.0, seed=3).to_dict()
+        keys = list(base)
+        rng = np.random.default_rng(23)
+        outcomes = {"built": 0, "refused": 0}
+        for _ in range(2000):
+            raw = dict(base)
+            for _ in range(int(rng.integers(1, 4))):
+                key = keys[int(rng.integers(0, len(keys)))]
+                pick = int(rng.integers(0, 10))
+                if pick == 0:
+                    raw.pop(key, None)
+                elif pick == 1:
+                    raw[key + "_extra"] = 1
+                else:
+                    raw[key] = hostile[int(rng.integers(0, len(hostile)))]
+            try:
+                config = CorpusConfig.from_dict(raw)
+            except ConfigError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["built"] += 1
+            assert 6 <= config.n_human + config.n_robot <= simulate.MAX_CORPUS_SESSIONS, raw
+            assert MIN_SESSION_DURATION_S <= config.duration_s <= simulate.MAX_SESSION_DURATION_S
+        assert min(outcomes.values()) > 100, outcomes
 
     @pytest.mark.parametrize("raw", [[8, 4, 30.0, 21], "n_human=8", None])
     def test_config_not_a_dict(self, raw):

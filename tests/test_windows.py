@@ -173,6 +173,41 @@ class TestSplit:
             '  "validation": [\n    1,\n    2,\n    4\n  ]\n}'
         )
 
+    def test_mutated_json_raises_only_config_error(self):
+        # Seeded mutations of a split file: half swap one value, or one
+        # element of a list, for a hostile JSON value; half change 1-4
+        # characters to random ASCII, a fifth of those also cut short. Each
+        # loads or raises ConfigError, nothing else.
+        raw = json.loads(split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json())
+        hostile = [-1, 0, 1, 7, 12, 0.25, 0.5, -0.0, 1e308, math.nan, math.inf, True, False,
+                   None, "x", [], [1, 2], {}]
+        rng = np.random.default_rng(31)
+        outcomes = {"loaded": 0, "refused": 0}
+        for _ in range(2000):
+            edited = json.loads(json.dumps(raw))
+            key = list(edited)[int(rng.integers(0, len(edited)))]
+            value = hostile[int(rng.integers(0, len(hostile)))]
+            if rng.integers(0, 2):
+                if isinstance(edited[key], list) and edited[key] and rng.integers(0, 2):
+                    edited[key][int(rng.integers(0, len(edited[key])))] = value
+                else:
+                    edited[key] = value
+                text = json.dumps(edited)
+            else:
+                chars = list(json.dumps(edited))
+                for pos in rng.integers(0, len(chars), size=int(rng.integers(1, 5))):
+                    chars[int(pos)] = chr(int(rng.integers(0, 128)))
+                if rng.integers(0, 5) == 0:
+                    chars = chars[:int(rng.integers(0, len(chars)))]
+                text = "".join(chars)
+            try:
+                DatasetSplit.from_json(text)
+            except ConfigError:
+                outcomes["refused"] += 1
+            else:
+                outcomes["loaded"] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
     @pytest.mark.parametrize("change,message", [
         ({"ratios": [0.5, "x"]}, "three finite numbers"),
         ({"ratios": [0.5, 0.5]}, "three finite numbers"),
