@@ -71,19 +71,9 @@ def _check_finite(x, y, theta) -> None:
 
 
 class AgentState(namedtuple("AgentState", "x y theta")):
-    """Planar pose (x, y, heading): an immutable float triple whose
-    constructor wraps the heading to (-pi, pi].
-
-    The constructor checks one isfinite per field, not a sum as in
-    ``protocol``: a sum of numpy scalars warns on overflow, and a sum after
-    float() would accept numeric strings. The aligner and ``predict`` build
-    with the unchecked ``AgentState._make``, from floats checked where they
-    came in (the position of a message, a checked tuple that cannot change;
-    one isfinite of a whole forecast) and a heading already wrapped.
-    """
+    """Planar pose (x, y, heading), a plain float triple that checks nothing:
+    its floats are checked where they enter, by the message constructors and
+    by the forecast's one isfinite in ``predictors._states``. Headings arrive
+    wrapped to (-pi, pi]; the aligner and ``predict`` build with ``_make``."""
 
     __slots__ = ()
-
-    def __new__(cls, x, y, theta):
-        _check_finite(x, y, theta)
-        return tuple.__new__(cls, (float(x), float(y), wrap_angle(float(theta))))

@@ -47,13 +47,17 @@ KDE_NOTES = [
 ]
 
 
-def _kde_nll(clouds: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
+def _kde_nll(clouds: np.ndarray, truth: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
     """KDE-NLL (...) of ensembles (..., K, T, 2) against truths (..., T, 2),
     and the number of (window, step) pairs whose ensemble is degenerate (all
-    members identical), which take the bandwidth floor."""
+    members identical), which take the bandwidth floor. A spread that
+    overflows raises ValidationError naming its window, ``start`` being the
+    first's test window."""
     k, t_steps = clouds.shape[-3:-1]
     pts = np.swapaxes(clouds, -3, -2)  # (..., T, K, 2)
-    std = pts.std(axis=-2, ddof=1)  # (..., T, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        std = pts.std(axis=-2, ddof=1)  # (..., T, 2)
+    _check_forecast(std, start, "ensemble forecast spread")
     bw = np.maximum(std * k ** SCOTT_EXPONENT, KDE_BANDWIDTH_FLOOR)
     # K equal members can sum with rounding, so their std may miss 0; only a
     # step floored on both axes can be degenerate, and it is one when every
@@ -99,10 +103,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
-
 
 def _check_forecast(values: np.ndarray, start: int, what: str) -> None:
     """Raise ValidationError naming the first window whose forecast (or its
@@ -125,8 +125,9 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
     reproducible byte-for-byte at a fixed BLAS thread count (see fit_ridge).
     Steps whose ensemble is degenerate take the bandwidth floor, and one
     RuntimeWarning counts them. A NaN or infinite forecast, point or
-    ensemble, or a point forecast whose error overflows raises
-    ValidationError naming its window.
+    ensemble, a point forecast whose error overflows, or errors whose ADE
+    variance or ensemble spread overflows, raises ValidationError naming a
+    window.
     """
     if k < 2:
         raise ValueError(f"a KDE bandwidth needs K >= 2 ensemble members, got {k}")
@@ -144,6 +145,12 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
         ex, ey = np.moveaxis(pred - truth, -1, 0)
         steps = np.sqrt(ex * ex + ey * ey)  # (N, H), np.linalg.norm's own formula
     _check_forecast(steps, 0, "point forecast error")
+    window_ades = steps.mean(axis=1)
+    with np.errstate(over="ignore"):  # refused just below
+        ade_variance = float(window_ades.var(ddof=0))
+    if not math.isfinite(ade_variance):
+        worst = int(np.argmax(abs(window_ades - window_ades.mean())))
+        raise ValidationError(f"ADE variance overflows; test window {worst} is furthest from the mean")
     nlls, degenerate = [], 0
     block = max(1, _MEMBERS_PER_BLOCK // k)
     for start in range(0, len(windows), block):
@@ -155,7 +162,7 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
         ensemble = predictor.forecast(pos[part, None] + jitter, theta[part, None],
                                       None if gaze is None else gaze[part, None])  # (B, K, H, 2)
         _check_forecast(ensemble, start, "ensemble forecast")
-        nll, count = _kde_nll(ensemble, truth[part])
+        nll, count = _kde_nll(ensemble, truth[part], start)
         nlls.append(nll)
         degenerate += count
     if degenerate:
@@ -165,14 +172,13 @@ def evaluate(predictor, windows, config: FeatureConfig, k: int = 20,
         )
 
     curve = np.cumsum(steps, axis=0)[-1] / len(windows)
-    window_ades = steps.mean(axis=1)
     return EvalReport(
         config=config.value,
         split="test",
         window_count=len(windows),
         ade=float(window_ades.mean()),
         fde=float(curve[-1]),
-        ade_variance=float(window_ades.var(ddof=0)),
+        ade_variance=ade_variance,
         kde_nll=float(np.concatenate(nlls).mean()),
         displacement_curve=[float(v) for v in curve],
         ensemble_k=k,

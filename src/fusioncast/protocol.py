@@ -28,8 +28,8 @@ each component.
 A Prediction takes one sum over the floats of all its states, with its
 lengths and theta range checked in the same pass; when any of that fails,
 the per-state checks run and raise what they always raised.
-geometry.AgentState's constructor checks one isfinite per field; aligned
-frames and predicted steps, checked where they came in, use its ``_make``.
+geometry.AgentState checks nothing: aligned frames take floats checked
+here, predicted steps floats checked by the forecast's one isfinite.
 
 Each telemetry type has one frame struct, header included (_HEADSET_FRAME,
 _ROBOT_FRAME), so a sample is encoded by one pack and decoded by one unpack

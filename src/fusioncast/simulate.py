@@ -93,31 +93,34 @@ def _clamp(x, lo, hi):
     return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorridorMap:
-    """Axis-connected corridor: a centerline polyline with constant width."""
+    """Axis-connected corridor: a centerline polyline with constant width.
+    Frozen, with a read-only centerline, so its segment tables stay true."""
 
-    centerline: np.ndarray  # (V, 2) meters
+    centerline: np.ndarray  # (V, 2) meters, read-only
     width: float
 
     def __post_init__(self):
-        self.centerline = np.asarray(self.centerline, dtype=np.float64)
-        if self.centerline.ndim != 2 or self.centerline.shape[0] < 2 or self.centerline.shape[1] != 2:
+        centerline = np.array(self.centerline, dtype=np.float64)
+        centerline.flags.writeable = False
+        object.__setattr__(self, "centerline", centerline)
+        if centerline.ndim != 2 or centerline.shape[0] < 2 or centerline.shape[1] != 2:
             raise ValueError("centerline must be an (V>=2, 2) polyline")
-        if not np.all(np.isfinite(self.centerline)):
+        if not np.all(np.isfinite(centerline)):
             raise ValueError("centerline has non-finite vertices")
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError(f"corridor width must be positive and finite, got {self.width}")
-        seg = np.diff(self.centerline, axis=0)
+        seg = np.diff(centerline, axis=0)
         seg_len = np.linalg.norm(seg, axis=1)
         if np.any(seg_len < 1e-9):
             raise ValueError("centerline has zero-length segments")
         seg_dir = seg / seg_len[:, None]
-        self._cum = [0.0, *np.cumsum(seg_len).tolist()]
+        object.__setattr__(self, "_cum", [0.0, *np.cumsum(seg_len).tolist()])
         # (ax, ay, ux, uy, length, cum) per segment: start, unit direction,
         # length and arc length at the start.
-        self._segs = tuple(zip(*self.centerline[:-1].T.tolist(), *seg_dir.T.tolist(),
-                               seg_len.tolist(), self._cum[:-1]))
+        object.__setattr__(self, "_segs", tuple(zip(
+            *centerline[:-1].T.tolist(), *seg_dir.T.tolist(), seg_len.tolist(), self._cum[:-1])))
 
     @property
     def total_length(self) -> float:
@@ -159,7 +162,6 @@ BASE_MAP = CorridorMap(
     ]),
     width=2.6,
 )
-BASE_MAP.centerline.flags.writeable = False  # shared by every corpus
 N_MAP_VARIANTS = 4
 CORNER_JITTER_M = 0.5
 WIDTH_JITTER_M = 0.2
@@ -179,7 +181,7 @@ def map_variant(seed) -> CorridorMap:
     return CorridorMap(centerline=centerline, width=width)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HumanWalkerParams:
     head_lead_s: float = 0.4  # head yaw anticipates body heading by this much
     gaze_lead_s: float = 0.8  # gaze anticipates body heading; must be >= head lead
@@ -200,13 +202,6 @@ def _check_duration(duration_s: float) -> None:
     if not MIN_SESSION_DURATION_S <= duration_s <= MAX_SESSION_DURATION_S:
         raise ValueError(f"duration must be within [{MIN_SESSION_DURATION_S}, "
                          f"{MAX_SESSION_DURATION_S}] s, got {duration_s}")
-
-
-def _check_session_count(n_sessions: int) -> None:
-    """A corpus is split three ways and held in memory whole."""
-    if not 6 <= n_sessions <= MAX_CORPUS_SESSIONS:
-        raise ConfigError(f"n_human + n_robot must be in [6, {MAX_CORPUS_SESSIONS}] "
-                          f"for a 3-way split, got {n_sessions}")
 
 
 def simulate_human(corridor: CorridorMap, params: HumanWalkerParams, duration_s: float,
@@ -378,9 +373,10 @@ def simulate_robot(corridor: CorridorMap, waypoints, duration_s: float,
     return session
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusConfig:
-    """Everything needed to regenerate a corpus byte-for-byte."""
+    """Everything needed to regenerate a corpus byte-for-byte; frozen, so
+    generate_corpus can trust the checks made here."""
 
     n_human: int = 20
     n_robot: int = 10
@@ -397,7 +393,9 @@ class CorpusConfig:
                 and MIN_SESSION_DURATION_S <= duration <= MAX_SESSION_DURATION_S):
             raise ConfigError(f"duration_s must be in [{MIN_SESSION_DURATION_S}, "
                               f"{MAX_SESSION_DURATION_S}], got {duration!r}")
-        _check_session_count(self.n_human + self.n_robot)
+        if not 6 <= self.n_human + self.n_robot <= MAX_CORPUS_SESSIONS:
+            raise ConfigError(f"n_human + n_robot must be in [6, {MAX_CORPUS_SESSIONS}] "
+                              f"for a 3-way split, got {self.n_human + self.n_robot}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -436,8 +434,6 @@ def _robot_waypoints(corridor: CorridorMap, rng) -> tuple:
 def generate_corpus(config: CorpusConfig) -> list[Session]:
     """All sessions for one experiment. Human sessions get ids 1..n_human,
     robots continue from there. Deterministic in the config alone."""
-    _check_session_count(config.n_human + config.n_robot)
-    _check_duration(config.duration_s)
     maps = corpus_maps(config.seed)
     sessions = []
     for i in range(config.n_human):

@@ -232,13 +232,10 @@ def split_sessions(session_ids, ratios: tuple[float, float, float], seed: int) -
     # Epsilon guards against 0.7 * 10 -> 6.999... style float truncation.
     sizes = [int(r * n + 1e-9) for r in ratios]
     leftover = n - sum(sizes)
-    for i in range(3):  # train first, then validation, then test
-        while leftover > 0 and ratios[i] > 0:
+    for i in range(3):  # one each to nonzero-ratio buckets, train first
+        if leftover > 0 and ratios[i] > 0:
             sizes[i] += 1
             leftover -= 1
-            break
-        if leftover == 0:
-            break
     # Any remaining leftover (two zero ratios etc.) goes to train.
     sizes[0] += leftover
 

@@ -306,6 +306,35 @@ class TestEvaluate:
                            match="point forecast error of test window 4 is not finite"):
             evaluate(HugePredictor(), windows, config)
 
+    @pytest.mark.parametrize("where,match", [
+        # Member 0 of window 4, step 7, at 1e200: the ensemble's spread
+        # overflows when squared. It used to score kde_nll 13.03 (11.98
+        # clean), with numpy's overflow warning as the only signal.
+        ("ensemble", "ensemble forecast spread of test window 4 is not finite"),
+        # Every step of windows 4 and 5 off by 1.3e154 m: each squared step
+        # is finite, but their ADEs' variance overflows. It used to score
+        # ade_variance inf, with numpy's overflow warning as the only signal.
+        ("point", "ADE variance overflows; test window 4 is furthest from the mean"),
+    ], ids=["ensemble", "point"])
+    def test_rejects_overflowing_spread(self, where, match):
+        config = FeatureConfig.POSE_ONLY
+        windows = [w for s in generate_corpus(CorpusConfig(6, 0, 24.0, seed=3))
+                   for w in segment(resample(s).frames, s.session_id, config)]
+
+        class HugePredictor:
+            feature_config = config
+
+            def forecast(self, pos, theta, gaze):
+                out = ConstantVelocityPredictor(self.feature_config).forecast(pos, theta, gaze)
+                if where == "ensemble" and out.ndim == 4:
+                    out[4, 0, 7, 0] = 1e200
+                elif where == "point" and out.ndim == 3:
+                    out[4:6, :, 0] += 1.3e154
+                return out
+
+        with pytest.raises(ValidationError, match=match):
+            evaluate(HugePredictor(), windows, config)
+
     def test_rejects_partial_future(self, corpus_windows):
         # segment cuts windows with a 5-frame future for prediction; fitting
         # and scoring need the full horizon.

@@ -14,7 +14,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fusioncast"
-AWAITING_CLI = {"save_model", "load_model", "to_json", "from_json", "to_dict", "from_dict"}
+# Qualified, so that one class's exemption does not cover another's method.
+AWAITING_CLI = {"save_model", "load_model", "EvalReport.to_json", "DatasetSplit.to_json",
+                "DatasetSplit.from_json", "CorpusConfig.to_dict", "CorpusConfig.from_dict"}
 
 
 def _references(node: ast.AST) -> Counter:
@@ -31,11 +33,12 @@ def _references(node: ast.AST) -> Counter:
 
 
 def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public function, class and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
@@ -44,10 +47,10 @@ def test_public_names_have_a_caller_outside_tests():
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
     used = sum((_references(tree) for tree in trees.values()), Counter())
     uncalled = [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{node.lineno} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in _public_definitions(trees[path])
-        if node.name not in AWAITING_CLI and used[node.name] <= _references(node)[node.name]
+        for name, node in _public_definitions(trees[path])
+        if name not in AWAITING_CLI and used[node.name] <= _references(node)[node.name]
     ]
     assert uncalled == []
 

@@ -362,7 +362,7 @@ def _old_travel_heading(initial, dp):
 
 def _old_states(xy, origin, theta_ref):
     headings = _old_travel_heading(theta_ref, np.diff(xy, axis=0, prepend=origin[None]))
-    return [AgentState(x, y, t) for x, y, t in zip(*xy.T.tolist(), headings.tolist())]
+    return [AgentState(x, y, t) for x, y, t in zip(*xy.T.tolist(), wrap_angle(headings).tolist())]
 
 
 def _jittered(window, offsets):

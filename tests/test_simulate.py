@@ -1,5 +1,6 @@
 """Synthetic session generation: walkers, robots, corpus reproducibility."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -141,6 +142,33 @@ class TestCorridorMap:
         corridor = BASE_MAP
         assert corridor.project((9.0, -2.0)) == (8.0, -2.0)  # the later one would give -1
         assert corridor.project((8.0, 0.0)) == (8.0, 0.0)
+
+
+class TestFrozenInputs:
+    # Each of these could be set past its constructor's check: a walker
+    # with head_lead_s -2.0 took its first 20 head yaws from the end of the
+    # walk, a map of width NaN walked through its walls (no lateral offset
+    # exceeds NaN), and a new centerline left the segment tables stale.
+    @pytest.mark.parametrize("make,field,value", [
+        (CorpusConfig, "duration_s", 1e7),
+        (CorpusConfig, "n_human", 0),
+        (lambda: HumanWalkerParams(seed=3), "head_lead_s", -2.0),
+        (_straight, "width", math.nan),
+        (_straight, "centerline", np.array([[0.0, 0.0], [5.0, 0.0]])),
+    ], ids=["corpus-duration", "corpus-count", "walker-lead", "map-width", "map-centerline"])
+    def test_fields_cannot_be_assigned(self, make, field, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(make(), field, value)
+
+    def test_centerline_cannot_be_written(self):
+        given = np.array([[0.0, 0.0], [30.0, 0.0]])
+        corridor = CorridorMap(given, 2.6)
+        given[1, 0] = 5.0  # the map holds its own copy
+        assert corridor.centerline[1, 0] == 30.0
+        for centerline in (corridor.centerline, map_variant(3).centerline):
+            with pytest.raises(ValueError, match="read-only"):
+                centerline[1, 0] = 5.0
+        assert corridor.total_length == 30.0
 
 
 class TestClamp:
@@ -418,11 +446,8 @@ class TestCorpus:
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         too_long = simulate.MAX_SESSION_DURATION_S + 0.1
-        config = CorpusConfig(n_human=3, n_robot=3, duration_s=simulate.MAX_SESSION_DURATION_S)
-        config.duration_s = too_long  # past the check CorpusConfig makes
         for run in (lambda: simulate_human(_straight(), HumanWalkerParams(), too_long),
-                    lambda: simulate_robot(_straight(), ((0.0, 0.0), (10.0, 0.0)), too_long),
-                    lambda: generate_corpus(config)):
+                    lambda: simulate_robot(_straight(), ((0.0, 0.0), (10.0, 0.0)), too_long)):
             with pytest.raises(ValueError, match="duration"):
                 run()
         with pytest.raises(ConfigError, match="duration_s"):
