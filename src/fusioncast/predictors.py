@@ -77,10 +77,9 @@ def window_arrays(windows, config: FeatureConfig, future: bool = False):
         raise ValueError("no windows")
     if len(windows) == 1:
         rows = windows[0].rows()[None]
-    elif future:
-        rows = np.stack([w.rows() for w in windows])
     else:
-        rows = np.stack([w.rows()[:OBS_FRAMES] for w in windows])
+        span = OBS_FRAMES + HORIZON_FRAMES if future else OBS_FRAMES
+        rows = np.stack([w.rows()[:span] for w in windows])
     obs = rows[:, :OBS_FRAMES]
     gaze = obs[..., 3:5] if config.uses_gaze else None
     fut = rows[:, OBS_FRAMES:, :2] if future else None
@@ -290,7 +289,9 @@ def save_model(model: RidgeModel, path) -> None:
 
 def load_model(path) -> RidgeModel:
     """Read a model file; a truncated, oversized or malformed one, or one whose
-    obs_frames/horizon keys are not the window shape, raises ValidationError."""
+    obs_frames/horizon keys or weight shape do not fit the window shape,
+    raises ValidationError. No more than the header and the weight bytes it
+    declares, plus one, are read."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
@@ -302,29 +303,37 @@ def load_model(path) -> RidgeModel:
         if hlen > MAX_HEADER_BYTES:
             raise ValidationError(f"{path}: header length {hlen} exceeds {MAX_HEADER_BYTES}")
         blob = fh.read(hlen)
-        data = fh.read()
-    if len(blob) != hlen:
-        raise ValidationError(f"{path}: truncated header ({len(blob)} of {hlen} bytes)")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-        for key, frames in (("obs_frames", OBS_FRAMES), ("horizon", HORIZON_FRAMES)):
-            if type(header[key]) is not int or header[key] != frames:
-                raise ValidationError(f"{key} must be the int {frames}, got {header[key]!r}")
-        # The JSON types save_model writes: no bool as a float, no float as an int.
-        for key, kind in (("mean", float), ("std", float), ("kept", bool), ("weight_shape", int)):
-            if not all(type(v) is kind for v in header[key]):
-                raise ValidationError(f"{key} must be a list of {kind.__name__}s")
-        rows, cols = header["weight_shape"]
-        if min(rows, cols) < 0 or len(data) != 8 * rows * cols:
-            raise ValidationError(f"{len(data)} weight bytes for weight shape {(rows, cols)}")
-        return RidgeModel(
-            feature_config=FeatureConfig(header["feature_config"]),
-            lam=header["lam"],
-            mean=np.array(header["mean"], dtype=np.float64),
-            std=np.array(header["std"], dtype=np.float64),
-            kept=np.array(header["kept"], dtype=bool),
-            weights=np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy(),
-        )
-    # ValidationError is a ValueError; RecursionError is JSON nested too deep.
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ValidationError(f"{path}: invalid model file: {exc!r}") from exc
+        if len(blob) != hlen:
+            raise ValidationError(f"{path}: truncated header ({len(blob)} of {hlen} bytes)")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            for key, frames in (("obs_frames", OBS_FRAMES), ("horizon", HORIZON_FRAMES)):
+                if type(header[key]) is not int or header[key] != frames:
+                    raise ValidationError(f"{key} must be the int {frames}, got {header[key]!r}")
+            # The JSON types save_model writes: no bool as a float, no float as an int.
+            for key, kind in (("mean", float), ("std", float), ("kept", bool), ("weight_shape", int)):
+                if not all(type(v) is kind for v in header[key]):
+                    raise ValidationError(f"{key} must be a list of {kind.__name__}s")
+            config = FeatureConfig(header["feature_config"])
+            rows, cols = header["weight_shape"]
+            # The window shape bounds the weight bytes read; one byte more
+            # shows a longer file.
+            if not (0 <= rows <= OBS_FRAMES * config.channels and 0 <= cols <= 2 * HORIZON_FRAMES):
+                raise ValidationError(f"weight shape {(rows, cols)} does not fit "
+                                      f"{config.value} windows")
+            size = 8 * rows * cols
+            data = fh.read(size + 1)
+            if len(data) != size:
+                found = len(data) if len(data) < size else f"more than {size}"
+                raise ValidationError(f"{found} weight bytes for weight shape {(rows, cols)}")
+            return RidgeModel(
+                feature_config=config,
+                lam=header["lam"],
+                mean=np.array(header["mean"], dtype=np.float64),
+                std=np.array(header["std"], dtype=np.float64),
+                kept=np.array(header["kept"], dtype=bool),
+                weights=np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy(),
+            )
+        # ValidationError is a ValueError; RecursionError is JSON nested too deep.
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path}: invalid model file: {exc!r}") from exc

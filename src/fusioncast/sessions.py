@@ -271,38 +271,31 @@ def load_session(path) -> Session:
     naming the file.
     """
     data = Path(path).read_bytes()
+    session = end = None
+    offset = 0
     try:
-        result = protocol.decode(data)
-    except ProtocolError as exc:
+        while end is None and (result := protocol.decode(data, offset)) is not None:
+            msg, offset = result
+            if session is None:
+                if not isinstance(msg, SessionStart):
+                    break
+                session = Session(msg.session_id, msg.agent_kind, msg.label)
+            elif isinstance(msg, SessionEnd):
+                end = msg
+            else:
+                session.ingest(msg)
+    except (ProtocolError, ValueError) as exc:  # OrderingError included
         raise ProtocolError(f"{path}: {exc}") from exc
-    if result is None or not isinstance(result[0], SessionStart):
+    if session is None:
         raise ProtocolError(f"{path}: does not start with a SessionStart frame")
-    start, offset = result
-    session = Session(start.session_id, start.agent_kind, start.label)
-    saw_end = False
-    while offset < len(data):
-        try:
-            result = protocol.decode(data, offset)
-        except ProtocolError as exc:
-            raise ProtocolError(f"{path}: {exc}") from exc
-        if result is None:
-            break  # partial trailing frame: writer died mid-write
-        msg, offset = result
-        if isinstance(msg, SessionEnd):
-            if msg.session_id != session.session_id:
-                raise ProtocolError(f"{path}: SessionEnd of session {msg.session_id} "
-                                    f"in the file of session {session.session_id}")
-            if offset < len(data):
-                raise ProtocolError(f"{path}: {len(data) - offset} bytes after SessionEnd, "
-                                    f"from byte offset {offset}")
-            session.complete = msg.complete
-            saw_end = True
-            break
-        try:
-            session.ingest(msg)
-        except ValueError as exc:  # OrderingError included
-            raise ProtocolError(f"{path}: {exc}") from exc
-    if not saw_end:
-        session.complete = False
+    if end is not None:
+        if end.session_id != session.session_id:
+            raise ProtocolError(f"{path}: SessionEnd of session {end.session_id} "
+                                f"in the file of session {session.session_id}")
+        if offset < len(data):
+            raise ProtocolError(f"{path}: {len(data) - offset} bytes after SessionEnd, "
+                                f"from byte offset {offset}")
+    # No SessionEnd (or a partial last frame: the writer died mid-write).
+    session.complete = end is not None and end.complete
     session.end()
     return session

@@ -93,10 +93,12 @@ def _clamp(x, lo, hi):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorridorMap:
     """Axis-connected corridor: a centerline polyline with constant width.
-    Frozen, with a read-only centerline, so its segment tables stay true."""
+    Frozen, with a read-only centerline, so its segment tables stay true.
+    Maps compare and hash by identity: a generated ``==`` would compare the
+    centerline arrays elementwise."""
 
     centerline: np.ndarray  # (V, 2) meters, read-only
     width: float
@@ -418,17 +420,12 @@ def corpus_maps(seed: int) -> list[CorridorMap]:
     return [map_variant(_derived_seed(seed, 1, v)) for v in range(N_MAP_VARIANTS)]
 
 
-def _robot_waypoints(corridor: CorridorMap, rng) -> tuple:
+def _robot_waypoints(corridor: CorridorMap, rng) -> np.ndarray:
     """Centerline vertices with a small per-run jitter on the interior ones;
     MIN_VARIANT_WIDTH_M keeps them inside the walls' margins."""
-    points = []
-    for idx, vertex in enumerate(corridor.centerline):
-        if 0 < idx < len(corridor.centerline) - 1:
-            offset = rng.uniform(-WAYPOINT_JITTER_M, WAYPOINT_JITTER_M, size=2)
-        else:
-            offset = np.zeros(2)
-        points.append(tuple(vertex + offset))
-    return tuple(points)
+    points = corridor.centerline.copy()
+    points[1:-1] += rng.uniform(-WAYPOINT_JITTER_M, WAYPOINT_JITTER_M, size=(len(points) - 2, 2))
+    return points
 
 
 def generate_corpus(config: CorpusConfig) -> list[Session]:

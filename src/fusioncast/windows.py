@@ -148,10 +148,15 @@ def segment(frames, session_id: int, feature_config: FeatureConfig,
     return windows
 
 
+_SPLIT_BUCKETS = ("train", "validation", "test")
+
+
 @dataclass(frozen=True)
 class DatasetSplit:
     """Whole-session assignment to train/validation/test. Construction checks
-    only that the buckets are disjoint, not which sessions they cover."""
+    what a split file can get wrong: int ids (each bucket kept as a tuple),
+    the ratios as split_sessions checks them, an int seed, and no id twice
+    in or across buckets; not which sessions the buckets cover."""
 
     train: tuple[int, ...]
     validation: tuple[int, ...]
@@ -160,10 +165,16 @@ class DatasetSplit:
     seed: int
 
     def __post_init__(self):
-        buckets = [set(self.train), set(self.validation), set(self.test)]
-        total = sum(len(b) for b in buckets)
-        merged = set().union(*buckets)
-        if total != len(merged):
+        for key in _SPLIT_BUCKETS:
+            ids = getattr(self, key)
+            if not (isinstance(ids, (list, tuple)) and all(type(i) is int for i in ids)):
+                raise ConfigError(f"split {key!r} must be a list of int session ids, got {ids!r}")
+            object.__setattr__(self, key, tuple(ids))
+        if type(self.seed) is not int:
+            raise ConfigError(f"split 'seed' must be an int, got {self.seed!r}")
+        object.__setattr__(self, "ratios", _checked_ratios(self.ratios))
+        ids = self.train + self.validation + self.test
+        if len(set(ids)) != len(ids):
             raise ConfigError("split buckets are not disjoint")
 
     def to_json(self) -> str:
@@ -177,27 +188,18 @@ class DatasetSplit:
             raise ConfigError(f"split file cannot be read as JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"split file must hold a JSON object, got {type(raw).__name__}")
-        for key in ("train", "validation", "test", "ratios", "seed"):
+        keys = (*_SPLIT_BUCKETS, "ratios", "seed")
+        for key in keys:
             if key not in raw:
                 raise ConfigError(f"split file has no {key!r} key")
-        for key in ("train", "validation", "test"):
-            if not (isinstance(raw[key], list) and all(type(i) is int for i in raw[key])):
-                raise ConfigError(f"split {key!r} must be a list of int session ids, got {raw[key]!r}")
-        if type(raw["seed"]) is not int:
-            raise ConfigError(f"split 'seed' must be an int, got {raw['seed']!r}")
-        return cls(
-            train=tuple(raw["train"]),
-            validation=tuple(raw["validation"]),
-            test=tuple(raw["test"]),
-            ratios=_checked_ratios(raw["ratios"]),
-            seed=raw["seed"],
-        )
+        return cls(**{key: raw[key] for key in keys})
 
 
 def _checked_ratios(ratios) -> tuple[float, float, float]:
-    """Three finite, nonnegative split ratios summing to 1, as floats."""
+    """Three finite, nonnegative split ratios (no bools) summing to 1, as floats."""
     try:
-        three_finite = len(ratios) == 3 and all(math.isfinite(r) for r in ratios)
+        three_finite = len(ratios) == 3 and all(
+            type(r) is not bool and math.isfinite(r) for r in ratios)
     except TypeError:
         three_finite = False
     if not three_finite:

@@ -1,6 +1,7 @@
 """RidgeModel shape invariants and malformed model files."""
 
 import hashlib
+import io
 import json
 import math
 import struct
@@ -8,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from fusioncast import predictors
 from fusioncast.errors import ValidationError
 from fusioncast.geometry import AgentState
 from fusioncast.predictors import MAX_HEADER_BYTES, MODEL_MAGIC, RidgeModel, load_model, save_model
@@ -78,6 +80,21 @@ def _write(tmp_path, header, weights, hlen=None):
     return path
 
 
+def _count_reads(monkeypatch):
+    """Open the model files of load_model through a file that counts the
+    bytes its reads return; the count is the one-element list returned."""
+    total = [0]
+
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            total[0] += len(data)
+            return data
+
+    monkeypatch.setattr(predictors, "open", CountingFile, raising=False)
+    return total
+
+
 class TestLoadModel:
     def test_round_trip(self, tmp_path):
         header, weights = _header_and_weights(tmp_path)
@@ -98,6 +115,27 @@ class TestLoadModel:
         header, weights = _header_and_weights(tmp_path)
         with pytest.raises(ValidationError):
             load_model(_write(tmp_path, header, weights + b"\x00" * 8))
+
+    def test_reads_no_more_than_the_header_declares(self, tmp_path, monkeypatch):
+        # A tail after the weights was read whole before the size check: a
+        # 64 MiB one cost 128 MB of memory before the refusal.
+        header, weights = _header_and_weights(tmp_path)
+        path = _write(tmp_path, header, weights + b"\x00" * (1 << 20))
+        total = _count_reads(monkeypatch)
+        with pytest.raises(ValidationError, match=f"more than {len(weights)} weight bytes"):
+            load_model(path)
+        assert total[0] == 8 + len(json.dumps(header)) + len(weights) + 1
+
+    @pytest.mark.parametrize("shape", [[DIMS + 1, 80], [DIMS, 81], [10**9, 80], [-80, -80]],
+                             ids=["rows", "cols", "billion_rows", "negative"])
+    def test_weight_shape_past_the_window_refused_unread(self, tmp_path, monkeypatch, shape):
+        header, weights = _header_and_weights(tmp_path)
+        header["weight_shape"] = shape
+        path = _write(tmp_path, header, weights)
+        total = _count_reads(monkeypatch)
+        with pytest.raises(ValidationError, match="does not fit pose_only windows"):
+            load_model(path)
+        assert total[0] == 8 + len(json.dumps(header))
 
     def test_oversized_header_length(self, tmp_path):
         header, weights = _header_and_weights(tmp_path)

@@ -495,3 +495,47 @@ class TestPersistence:
         with pytest.raises(ProtocolError, match="s9.fcs") as info:
             load_session(path)
         assert isinstance(info.value.__cause__, ProtocolError)
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        protocol.encode(SessionStart(4, "human", "corridor"))[:-3],  # cut short
+        protocol.encode(_headset(0, sid=4)) + protocol.encode(SessionEnd(4)),
+        protocol.encode(SessionEnd(4)) + protocol.encode(SessionStart(4, "human")),
+    ], ids=["empty", "cut_start", "sample_first", "end_first"])
+    def test_file_without_a_start_frame_raises_protocol_error(self, tmp_path, data):
+        path = tmp_path / "s4.fcs"
+        path.write_bytes(data)
+        with pytest.raises(ProtocolError, match="s4.fcs: does not start with a SessionStart "
+                                                "frame$") as info:
+            load_session(path)
+        assert info.value.__cause__ is None
+
+    def test_mutated_files_load_or_raise_protocol_error(self, tmp_path):
+        # Seeded mutations of a saved human and robot session file: 1-4
+        # random bytes changed, a fifth of the files also cut short. Each
+        # loads, and resamples, or raises ProtocolError, nothing else.
+        sessions = generate_corpus(CorpusConfig(n_human=6, n_robot=2, duration_s=8.0, seed=5))
+        originals = {}
+        for session in (sessions[0], sessions[-1]):
+            path = tmp_path / f"{session.agent_kind}.fcs"
+            save_session(session, path)
+            originals[session.agent_kind] = path.read_bytes()
+        rng = np.random.default_rng(47)
+        outcomes = dict.fromkeys(((kind, outcome) for kind in originals
+                                  for outcome in ("loaded", "refused")), 0)
+        path = tmp_path / "mutated.fcs"
+        for i in range(1200):
+            kind = ("human", "robot")[i % 2]
+            data = bytearray(originals[kind])
+            for pos in rng.integers(0, len(data), size=int(rng.integers(1, 5))):
+                data[int(pos)] = int(rng.integers(0, 256))
+            if rng.integers(0, 5) == 0:
+                data = data[:int(rng.integers(0, len(data)))]
+            path.write_bytes(bytes(data))
+            try:
+                resample(load_session(path))
+            except ProtocolError:
+                outcomes[kind, "refused"] += 1
+            else:
+                outcomes[kind, "loaded"] += 1
+        assert min(outcomes.values()) > 50, outcomes

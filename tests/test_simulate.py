@@ -170,6 +170,14 @@ class TestFrozenInputs:
                 centerline[1, 0] = 5.0
         assert corridor.total_length == 30.0
 
+    def test_maps_compare_and_hash_by_identity(self):
+        # The generated == compared centerline arrays (ValueError: truth
+        # value of an array is ambiguous) and hash raised TypeError.
+        twin = map_variant(0)
+        assert BASE_MAP == BASE_MAP and twin == twin
+        assert BASE_MAP != twin and map_variant(0) != twin
+        assert {BASE_MAP: "base", twin: "twin"}[twin] == "twin"
+
 
 class TestClamp:
     def test_returns_what_min_of_max_returns(self):

@@ -251,6 +251,47 @@ class TestSplit:
         with pytest.raises(ConfigError, match="JSON object"):
             DatasetSplit.from_json(json.dumps([[1], [2], [3], [0.5, 0.25, 0.25], 9]))
 
+    @pytest.mark.parametrize("change", [
+        {"train": [8, 6, 0, 11, 0, 10]}, {"validation": [1, 2, 1]}, {"test": [5, 9, 1]},
+    ], ids=["in_train", "in_validation", "across_buckets"])
+    def test_from_json_refuses_a_repeated_id(self, change):
+        # A session listed twice in train was trained on twice.
+        raw = json.loads(split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json())
+        with pytest.raises(ConfigError, match="not disjoint"):
+            DatasetSplit.from_json(json.dumps({**raw, **change}))
+
+    @pytest.mark.parametrize("fields,message", [
+        ((("a",), (), (), (0.6, 0.2, 0.2), 0), "'train' must be a list of int session ids"),
+        (((1,), (2.0,), (3,), (0.6, 0.2, 0.2), 0), "'validation' must be a list"),
+        (((1,), (2,), 3, (0.6, 0.2, 0.2), 0), "'test' must be a list"),
+        (((1,), (2,), (3,), (0.6, 0.2, 0.2), "x"), "'seed' must be an int"),
+        (((1,), (2,), (3,), (0.6, 0.2, 0.2), 1.0), "'seed' must be an int"),
+        (((1,), (2,), (3,), (2.0, -1.0, 0.0), 0), "nonnegative"),
+        (((1,), (2,), (3,), (0.6, 0.2), 0), "three finite numbers"),
+        (((1, 1), (2,), (3,), (0.6, 0.2, 0.2), 0), "not disjoint"),
+        ((("a",), (), (), (2.0, -1.0, 0.0), "x"), "'train'"),
+    ], ids=["id_string", "id_float", "bucket_int", "seed_string", "seed_float",
+            "ratio_negative", "two_ratios", "repeated_id", "all_wrong"])
+    def test_direct_construction_applies_split_checks(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            DatasetSplit(*fields)
+
+    def test_direct_construction_keeps_tuples_and_floats(self):
+        split = DatasetSplit([3, 1], [2], [], (1, 0, 0), 4)
+        assert split == DatasetSplit((3, 1), (2,), (), (1.0, 0.0, 0.0), 4)
+        assert type(split.train) is tuple and all(type(r) is float for r in split.ratios)
+        assert DatasetSplit.from_json(split.to_json()) == split
+
+    @pytest.mark.parametrize("ratios", [(True, False, False), (0.5, 0.5, False)],
+                             ids=["all_bools", "one_bool"])
+    def test_bool_ratios_refused(self, ratios):
+        # (True, False, False) was read as (1.0, 0.0, 0.0).
+        with pytest.raises(ConfigError, match="three finite numbers"):
+            split_sessions(range(1, 6), ratios, 0)
+        raw = json.loads(split_sessions(range(12), (0.5, 0.25, 0.25), seed=9).to_json())
+        with pytest.raises(ConfigError, match="three finite numbers"):
+            DatasetSplit.from_json(json.dumps({**raw, "ratios": list(ratios)}))
+
 
 class TestTrajectoryWindow:
     def test_requires_observed(self):
